@@ -278,11 +278,8 @@ func BenchmarkProfileInterval(b *testing.B) {
 
 // BenchmarkStratSeries isolates the stratified-sweep table-building paths
 // on the end-of-study window: the one-pass labelled histogram fold versus
-// the dense Split path that materialises per-stratum sets and folds each
-// (DESIGN.md §8.2). The series sub-benchmark runs the whole
-// eleven-window per-stratum estimation through the dense reference, so
-// the end-to-end sweep cost stays visible in snapshots even though the
-// figures hit the env cache.
+// the Split path that materialises per-stratum sets and folds each
+// (DESIGN.md §8.2).
 func BenchmarkStratSeries(b *testing.B) {
 	e := env(b)
 	bundle := e.Bundle(10, dataset.DefaultOptions())
@@ -302,12 +299,6 @@ func BenchmarkStratSeries(b *testing.B) {
 				core.TableFromSets(group, nil)
 			}
 			b.ReportMetric(float64(len(split)), "strata")
-		}
-	})
-	b.Run("series", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			series := e.StratSeriesDense(strata.ByPrefix, false)
-			b.ReportMetric(float64(len(series[len(series)-1])), "strata-last")
 		}
 	})
 }
@@ -469,69 +460,61 @@ func BenchmarkPortSurvey(b *testing.B) {
 // pre-filled window ring, sweeping the fraction of the population that
 // arrives as fresh events between ticks. Each iteration is (dirty events
 // offered) + (one forced tick), so ns/op is ns/tick at that churn rate.
-// "incremental" is the default per-window capture-mask histogram
-// (hist[old]--, hist[old|bit]++ per event, the tick reads the histogram);
-// "rebuild" is Config.Rebuild, which re-folds every window set through
-// ipset.CaptureHistogram on each tick. STREAMING.md and DESIGN.md §10
-// derive why the gap widens as the dirty fraction shrinks; bench.sh
-// records both series so the speedup is a committed number.
+// Each event is one per-window capture-mask histogram update
+// (hist[old]--, hist[old|bit]++) and the tick reads the histogram;
+// STREAMING.md and DESIGN.md §10 derive why tick cost follows the events,
+// not the addresses held. The set-rebuild comparison is committed in
+// BENCH_2026-08-08.2.json.
 func BenchmarkStreamTick(b *testing.B) {
 	const (
 		perSource = 40000 // addresses offered per source per window
 		windows   = 3
 		nsources  = 3
 	)
-	for _, mode := range []struct {
-		name    string
-		rebuild bool
-	}{{"incremental", false}, {"rebuild", true}} {
-		for _, dirtyPct := range []int{1, 10, 100} {
-			b.Run(fmt.Sprintf("%s/dirty=%d%%", mode.name, dirtyPct), func(b *testing.B) {
-				p := ingest.New(ingest.Config{
-					Window:  time.Hour,
-					Windows: windows,
-					Every:   30 * time.Minute,
-					Sources: []string{"v1", "v2", "v3"},
-					Rebuild: mode.rebuild,
-				})
-				r := rng.New(7)
-				start := time.Unix(1700000000, 0).UTC()
-				// Fill the ring: per window, perSource draws per source
-				// from a 2^28 span, so addresses land on mostly-distinct
-				// /24 pages (the realistic sparse regime where the
-				// set-fold pays per page, not per word).
-				at := start
-				for w := 0; w < windows; w++ {
-					at = start.Add(time.Duration(w)*time.Hour + time.Minute)
-					for i := 0; i < perSource; i++ {
-						a := ipv4.Addr(r.Uint64n(1 << 28))
-						for s := 0; s < nsources; s++ {
-							if r.Bernoulli(0.6) {
-								p.Offer(s, a, at)
-							}
+	for _, dirtyPct := range []int{1, 10, 100} {
+		b.Run(fmt.Sprintf("incremental/dirty=%d%%", dirtyPct), func(b *testing.B) {
+			p := ingest.New(ingest.Config{
+				Window:  time.Hour,
+				Windows: windows,
+				Every:   30 * time.Minute,
+				Sources: []string{"v1", "v2", "v3"},
+			})
+			r := rng.New(7)
+			start := time.Unix(1700000000, 0).UTC()
+			// Fill the ring: per window, perSource draws per source
+			// from a 2^28 span, so addresses land on mostly-distinct
+			// /24 pages (the realistic sparse regime).
+			at := start
+			for w := 0; w < windows; w++ {
+				at = start.Add(time.Duration(w)*time.Hour + time.Minute)
+				for i := 0; i < perSource; i++ {
+					a := ipv4.Addr(r.Uint64n(1 << 28))
+					for s := 0; s < nsources; s++ {
+						if r.Bernoulli(0.6) {
+							p.Offer(s, a, at)
 						}
 					}
 				}
-				p.Flush() // settle: every window estimated once, warm starts primed
-				dirty := perSource * dirtyPct / 100
-				lat := make([]time.Duration, 0, b.N)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for j := 0; j < dirty; j++ {
-						p.Offer(j%nsources, ipv4.Addr(r.Uint64n(1<<28)), at)
-					}
-					t0 := time.Now()
-					if tk := p.Flush(); tk == nil || len(tk.Windows) == 0 {
-						b.Fatal("flush produced no tick")
-					}
-					lat = append(lat, time.Since(t0))
+			}
+			p.Flush() // settle: every window estimated once, warm starts primed
+			dirty := perSource * dirtyPct / 100
+			lat := make([]time.Duration, 0, b.N)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < dirty; j++ {
+					p.Offer(j%nsources, ipv4.Addr(r.Uint64n(1<<28)), at)
 				}
-				b.StopTimer()
-				sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-				p99 := lat[len(lat)*99/100]
-				b.ReportMetric(float64(p99.Microseconds()), "tick-p99-us")
-				b.ReportMetric(float64(dirty*b.N)/b.Elapsed().Seconds(), "events/s")
-			})
-		}
+				t0 := time.Now()
+				if tk := p.Flush(); tk == nil || len(tk.Windows) == 0 {
+					b.Fatal("flush produced no tick")
+				}
+				lat = append(lat, time.Since(t0))
+			}
+			b.StopTimer()
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			p99 := lat[len(lat)*99/100]
+			b.ReportMetric(float64(p99.Microseconds()), "tick-p99-us")
+			b.ReportMetric(float64(dirty*b.N)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
 }

@@ -64,20 +64,20 @@ type GOF struct {
 }
 
 // GoodnessOfFit evaluates how well a fitted model reproduces the observed
-// contingency table.
+// contingency table. The fitted log-rates come from the lattice identity
+// η_s = Σ_{j: mask_j ⊆ s} β_j, the same one the fit itself runs on.
 func GoodnessOfFit(tb *Table, fit *FitResult) GOF {
-	x := fit.Model.design()
-	g := GOF{DF: x.Rows - fit.Model.NumParams()}
+	n := 1 << uint(fit.Model.T)
+	eta := make([]float64, n)
+	stats.LatticeEta(fit.Model.T, fit.Model.ColumnMasks(), fit.Coef, eta)
+	g := GOF{DF: n - 1 - fit.Model.NumParams()}
 	for s := 1; s < len(tb.Counts); s++ {
 		z := float64(tb.Counts[s])
-		eta := 0.0
-		for j, v := range x.Row(s - 1) {
-			eta += v * fit.Coef[j]
+		e := eta[s]
+		if e > 30 {
+			e = 30
 		}
-		if eta > 30 {
-			eta = 30
-		}
-		mu := math.Exp(eta)
+		mu := math.Exp(e)
 		if mu < 1e-12 {
 			mu = 1e-12
 		}

@@ -95,3 +95,63 @@ func TestGoodnessOfFitPerfect(t *testing.T) {
 		t.Fatalf("p-value %v on exact data", g.PValue)
 	}
 }
+
+// denseGOF is the reference goodness-of-fit computation: η as the dot
+// product of each materialised design row with the coefficients.
+func denseGOF(tb *Table, fit *FitResult) GOF {
+	x := denseDesign(fit.Model)
+	g := GOF{DF: len(x) - fit.Model.NumParams()}
+	for s := 1; s < len(tb.Counts); s++ {
+		z := float64(tb.Counts[s])
+		eta := 0.0
+		for j, v := range x[s-1] {
+			eta += v * fit.Coef[j]
+		}
+		mu := math.Max(math.Exp(math.Min(eta, 30)), 1e-12)
+		if z > 0 {
+			g.Deviance += 2 * (z*math.Log(z/mu) - (z - mu))
+		} else {
+			g.Deviance += 2 * mu
+		}
+		g.Pearson += (z - mu) * (z - mu) / mu
+	}
+	return g
+}
+
+// TestGoodnessOfFitMatchesDenseDesign pins GoodnessOfFit's lattice η
+// against the dense-design computation for t = 2..6, with and without
+// interaction terms.
+func TestGoodnessOfFitMatchesDenseDesign(t *testing.T) {
+	r := rng.New(64)
+	for tt := 2; tt <= 6; tt++ {
+		probs := make([]float64, tt)
+		hot := make([]float64, tt)
+		for i := range probs {
+			probs[i] = 0.1 + 0.05*float64(i)
+			hot[i] = 0.5
+		}
+		tb := sampleTable(r, 60000, probs, hot, 0.2)
+		models := []Model{IndependenceModel(tt)}
+		if tt >= 3 {
+			models = append(models, IndependenceModel(tt).With(0b011).With(0b101))
+		}
+		for _, m := range models {
+			fit, err := FitModel(tb, m, math.Inf(1), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := GoodnessOfFit(tb, fit), denseGOF(tb, fit)
+			if got.DF != want.DF {
+				t.Fatalf("t=%d %v: DF %d, want %d", tt, m.Terms, got.DF, want.DF)
+			}
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{{"deviance", got.Deviance, want.Deviance}, {"pearson", got.Pearson, want.Pearson}} {
+				if math.Abs(c.got-c.want) > 1e-9*math.Max(1, math.Abs(c.want)) {
+					t.Fatalf("t=%d %v: %s %v, want %v", tt, m.Terms, c.name, c.got, c.want)
+				}
+			}
+		}
+	}
+}

@@ -8,6 +8,11 @@ import (
 	"ghosts/internal/telemetry"
 )
 
+// ErrTooFewSources is returned when fewer than two sources observed
+// anything: with one non-empty source there is no overlap to measure, so
+// capture-recapture cannot see past the observed union.
+var ErrTooFewSources = errors.New("core: fewer than 2 non-empty sources; capture-recapture needs an overlap to estimate from")
+
 // Estimator bundles the model-selection and fitting configuration used
 // throughout the paper. The zero value is not ready; use NewEstimator or
 // DefaultEstimator.
@@ -97,9 +102,9 @@ func (e *Estimator) estimateFull(ctx context.Context, tb *Table, wantInterval bo
 	if tb == nil || tb.Observed() == 0 {
 		return nil, nil, errors.New("core: empty table")
 	}
-	work := tb
-	if t2, _ := tb.DropEmptySources(); t2 != tb {
-		work = t2
+	work, keep := tb.DropEmptySources()
+	if len(keep) < 2 {
+		return nil, nil, ErrTooFewSources
 	}
 	limit := e.Limit
 	if limit <= 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -79,6 +80,54 @@ func TestEstimateEmptyTable(t *testing.T) {
 	}
 }
 
+// oneSourceTable is a 3-source table in which only source 1 observed
+// anything: after DropEmptySources it has a single source.
+func oneSourceTable() *Table {
+	tb := NewTable(3)
+	tb.Counts[0b001] = 1500
+	return tb
+}
+
+// TestEstimateOneSource: a table with fewer than two non-empty sources is
+// refused with ErrTooFewSources before any fit runs.
+func TestEstimateOneSource(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	telemetry.Enable(rec)
+	defer telemetry.Disable()
+	est := DefaultEstimator(math.Inf(1))
+	if _, err := est.Estimate(oneSourceTable()); !errors.Is(err, ErrTooFewSources) {
+		t.Fatalf("err = %v, want ErrTooFewSources", err)
+	}
+	if _, _, err := est.EstimateSweepPoint(oneSourceTable(), nil); !errors.Is(err, ErrTooFewSources) {
+		t.Fatalf("sweep err = %v, want ErrTooFewSources", err)
+	}
+	if got := rec.Fits.Load(); got != 0 {
+		t.Fatalf("%d fits ran for a one-source table, want 0", got)
+	}
+}
+
+// TestEstimateStratifiedOneSource: a stratum seen by a single source
+// falls back to its observed count.
+func TestEstimateStratifiedOneSource(t *testing.T) {
+	r := rng.New(14)
+	strataTables := []StratumTable{
+		{Label: "alpha", Table: sampleTable(r, 80000, []float64{0.3, 0.2, 0.25}, nil, 0)},
+		{Label: "lone", Table: oneSourceTable()},
+	}
+	est := NewEstimator(AIC, Fixed1, math.Inf(1))
+	res, err := est.EstimateStratified(strataTables, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, ok := res.PerStrat["lone"]
+	if !ok {
+		t.Fatal("one-source stratum missing from the result")
+	}
+	if lone.N != 1500 || lone.Observed != 1500 {
+		t.Fatalf("one-source stratum = %+v, want N = Observed = 1500", lone)
+	}
+}
+
 func TestEstimateDropsEmptySources(t *testing.T) {
 	r := rng.New(111)
 	tb := sampleTable(r, 50000, []float64{0.3, 0.25}, nil, 0)
@@ -147,7 +196,7 @@ func TestEstimateStratifiedAllEmpty(t *testing.T) {
 }
 
 // TestProfileIntervalWarmStartTelemetry: the bisection's evaluations must
-// run on the lattice kernel and warm-start from one another — the saved
+// warm-start from one another — the saved
 // Fisher iterations (cold-evaluation count minus each warm evaluation's)
 // land in the WarmStartSaved counter.
 func TestProfileIntervalWarmStartTelemetry(t *testing.T) {
@@ -163,11 +212,8 @@ func TestProfileIntervalWarmStartTelemetry(t *testing.T) {
 	if _, err := ProfileInterval(tb, fit, math.Inf(1), 1e-7, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.LatticeFits.Load(); got == 0 {
-		t.Fatal("profile evaluations did not use the lattice kernel")
-	}
-	if got := rec.DenseFallbacks.Load(); got != 0 {
-		t.Fatalf("profile evaluations fell back to the dense kernel %d times", got)
+	if got := rec.Fits.Load(); got == 0 {
+		t.Fatal("profile evaluations ran no fits")
 	}
 	if got := rec.WarmStartSaved.Load(); got == 0 {
 		t.Fatal("warm-started profile evaluations saved no Fisher iterations")

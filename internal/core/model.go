@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"ghosts/internal/stats"
 	"ghosts/internal/telemetry"
@@ -114,72 +113,6 @@ func (m Model) appendColumnMasks(dst []int) []int {
 	return append(dst, m.Terms...)
 }
 
-// designCache memoises design matrices per model. The stepwise search, the
-// profile-interval bisection and the bootstrap all refit the same few
-// models over and over; the matrix depends only on (T, Terms), is
-// read-only after construction, and there are at most a few hundred
-// distinct models per estimation, so a process-wide cache is safe and
-// effective. designCacheLen bounds it defensively: past the cap matrices
-// are built uncached instead of evicted.
-var (
-	designCache    sync.Map // string key -> stats.Matrix
-	designCacheLen atomic.Int64
-)
-
-const designCacheCap = 1 << 14
-
-// designKey encodes (T, Terms) compactly; T ≤ 16 so each term fits 2 bytes.
-func (m Model) designKey() string {
-	b := make([]byte, 1+2*len(m.Terms))
-	b[0] = byte(m.T)
-	for i, h := range m.Terms {
-		b[1+2*i] = byte(h)
-		b[2+2*i] = byte(h >> 8)
-	}
-	return string(b)
-}
-
-// design returns the flat row-major GLM design matrix for the model over
-// the 2^t−1 observable histories (rows ordered by history mask 1..2^t−1),
-// cached per model. Column 0 is the intercept, columns 1..t the main
-// effects, then one column per interaction; x[s][j] = 1 iff term j's
-// source set is a subset of s. Callers must treat the result as read-only.
-func (m Model) design() stats.Matrix {
-	key := m.designKey()
-	if v, ok := designCache.Load(key); ok {
-		return v.(stats.Matrix)
-	}
-	x := m.buildDesign()
-	if designCacheLen.Load() < designCacheCap {
-		if _, loaded := designCache.LoadOrStore(key, x); !loaded {
-			designCacheLen.Add(1)
-		}
-	}
-	return x
-}
-
-// buildDesign constructs the design matrix without consulting the cache.
-func (m Model) buildDesign() stats.Matrix {
-	n := 1<<uint(m.T) - 1
-	p := m.NumParams()
-	x := stats.NewMatrix(n, p)
-	for s := 1; s <= n; s++ {
-		row := x.Row(s - 1)
-		row[0] = 1
-		for i := 0; i < m.T; i++ {
-			if s&(1<<uint(i)) != 0 {
-				row[1+i] = 1
-			}
-		}
-		for j, h := range m.Terms {
-			if s&h == h {
-				row[1+m.T+j] = 1
-			}
-		}
-	}
-	return x
-}
-
 // FitResult is a fitted log-linear CR model.
 type FitResult struct {
 	Model     Model
@@ -217,11 +150,10 @@ func FitModel(tb *Table, m Model, limit float64, scale float64) (*FitResult, err
 
 // fitModelInit is FitModel with warm-start coefficients in design order;
 // the stepwise search passes the parent model's coefficients with a zero
-// inserted for the new term. Fits route through the lattice (zeta
-// transform) kernel — the CR design is always a subset indicator over the
-// capture-history lattice — falling back to the dense row-major kernel for
-// the rare shape the lattice kernel rejects (e.g. more columns than
-// observable cells at tiny t).
+// inserted for the new term. Fits run on the lattice (zeta transform)
+// kernel: the CR design is always a subset indicator over the
+// capture-history lattice. A shape the kernel rejects (more columns than
+// observable cells, as for a one-source table) is returned as its error.
 func fitModelInit(tb *Table, m Model, limit float64, scale float64, init []float64) (*FitResult, error) {
 	telemetry.Active().PoolGet()
 	sc := fitPool.Get().(*fitScratch)
@@ -240,10 +172,6 @@ func fitModelScratch(tb *Table, m Model, limit float64, scale float64, init []fl
 	}
 	sc.masks = m.appendColumnMasks(sc.masks)
 	ld := stats.Lattice{T: m.T, Masks: sc.masks}
-	if ld.Validate() != nil {
-		telemetry.Active().DenseFallback()
-		return fitModelDense(tb, m, limit, scale, init, sc)
-	}
 	n := 1 << uint(m.T)
 	if cap(sc.y) < n {
 		sc.y = make([]float64, n)
@@ -265,38 +193,6 @@ func fitModelScratch(tb *Table, m Model, limit float64, scale float64, init []fl
 		}
 	}
 	res, err := ld.Fit(y, limits, init, &sc.ws)
-	if err != nil {
-		return nil, err
-	}
-	return fitResultFrom(tb, m, res, scale), nil
-}
-
-// fitModelDense is the dense-kernel fallback path: it materialises the
-// design matrix and runs the row-major IRLS kernel. Kept for designs the
-// lattice kernel rejects and as the reference implementation the
-// differential tests compare against.
-func fitModelDense(tb *Table, m Model, limit float64, scale float64, init []float64, sc *fitScratch) (*FitResult, error) {
-	x := m.design()
-	n := x.Rows
-	if cap(sc.y) < n {
-		sc.y = make([]float64, n)
-	}
-	y := sc.y[:n]
-	for s := 1; s <= n; s++ {
-		y[s-1] = float64(tb.Counts[s]) / scale
-	}
-	var limits []float64
-	if !math.IsInf(limit, 1) {
-		if cap(sc.limits) < n {
-			sc.limits = make([]float64, n)
-		}
-		limits = sc.limits[:n]
-		l := math.Floor(limit / scale)
-		for i := range limits {
-			limits[i] = l
-		}
-	}
-	res, err := stats.FitPoissonGLMFlat(x, y, limits, init, &sc.ws)
 	if err != nil {
 		return nil, err
 	}

@@ -53,34 +53,65 @@ func TestTermName(t *testing.T) {
 	}
 }
 
+// denseDesign materialises m's GLM design, one row per observable history
+// s = 1..2^t−1: column j is 1 iff column mask j ⊆ s. The fit never builds
+// it — the lattice kernel works on the masks directly — so it exists only
+// as the reference the tests check the mask bridge and the diagnostics
+// against.
+func denseDesign(m Model) [][]float64 {
+	masks := m.ColumnMasks()
+	x := make([][]float64, 1<<uint(m.T)-1)
+	for s := 1; s <= len(x); s++ {
+		row := make([]float64, len(masks))
+		for j, h := range masks {
+			if s&h == h {
+				row[j] = 1
+			}
+		}
+		x[s-1] = row
+	}
+	return x
+}
+
 func TestDesignShape(t *testing.T) {
 	m := IndependenceModel(3).With(0b011)
-	x := m.design()
-	if x.Rows != 7 {
-		t.Fatalf("rows = %d, want 7", x.Rows)
+	// Column order: intercept, mains, then interactions.
+	masks := m.ColumnMasks()
+	wantMasks := []int{0, 0b001, 0b010, 0b100, 0b011}
+	if len(masks) != len(wantMasks) {
+		t.Fatalf("column masks = %v, want %v", masks, wantMasks)
 	}
-	if x.Cols != m.NumParams() {
-		t.Fatalf("cols = %d, want %d", x.Cols, m.NumParams())
+	for j := range wantMasks {
+		if masks[j] != wantMasks[j] {
+			t.Fatalf("column masks = %v, want %v", masks, wantMasks)
+		}
 	}
-	for i := 0; i < x.Rows; i++ {
-		if x.Row(i)[0] != 1 {
+	x := denseDesign(m)
+	if len(x) != 7 {
+		t.Fatalf("rows = %d, want 7", len(x))
+	}
+	if len(x[0]) != m.NumParams() {
+		t.Fatalf("cols = %d, want %d", len(x[0]), m.NumParams())
+	}
+	for i := range x {
+		if x[i][0] != 1 {
 			t.Fatal("intercept column must be 1")
 		}
 	}
 	// History 0b011 (row index 2): mains 1,2 present, interaction {1,2} on.
-	row := x.Row(0b011 - 1)
+	row := x[0b011-1]
 	if row[1] != 1 || row[2] != 1 || row[3] != 0 || row[4] != 1 {
 		t.Fatalf("design row for 011 = %v", row)
 	}
+	// History 0b101: the {1,2} interaction is not a subset, so it is off.
+	row = x[0b101-1]
+	if row[1] != 1 || row[2] != 0 || row[3] != 1 || row[4] != 0 {
+		t.Fatalf("design row for 101 = %v", row)
+	}
 	// History 0b111: everything on.
-	row = x.Row(0b111 - 1)
+	row = x[0b111-1]
 	if row[1] != 1 || row[2] != 1 || row[3] != 1 || row[4] != 1 {
 		t.Fatalf("design row for 111 = %v", row)
-	}
-	// The cache must hand back the same backing matrix for equal models.
-	again := IndependenceModel(3).With(0b011).design()
-	if &again.Data[0] != &x.Data[0] {
-		t.Error("design cache should return the same backing array for equal models")
 	}
 }
 

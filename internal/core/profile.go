@@ -25,15 +25,13 @@ type Interval struct {
 // Poisson-random (§3.3.3: the interval is "merely a useful heuristic
 // indication"). The unobserved cell's design row is the intercept alone,
 // which is exactly lattice cell 0, so the profile fit is the lattice
-// kernel with Cell0 set; the dense extended-design path remains as the
-// fallback for designs the lattice kernel rejects. The bisection evaluates
-// the profile dozens of times per interval, so the vectors and GLM
-// workspace are built once and reused, and each evaluation warm-starts
-// from the previous one's coefficients — adjacent bisection points have
-// nearly identical maximisers.
+// kernel with Cell0 set. The bisection evaluates the profile dozens of
+// times per interval, so the vectors and GLM workspace are built once and
+// reused, and each evaluation warm-starts from the previous one's
+// coefficients — adjacent bisection points have nearly identical
+// maximisers.
 type profiler struct {
-	ld     stats.Lattice // Cell0 profile lattice (when dense is nil)
-	dense  stats.Matrix  // extended design, fallback path only
+	ld     stats.Lattice // Cell0 profile lattice
 	y      []float64     // cell-indexed; y[0] is rewritten per evaluation
 	limits []float64
 	scale  float64
@@ -50,16 +48,6 @@ func newProfiler(tb *Table, m Model, limit float64, scale float64) *profiler {
 	pr := &profiler{scale: scale}
 	pr.ld = stats.Lattice{T: m.T, Masks: m.ColumnMasks(), Cell0: true}
 	n := 1 << uint(m.T)
-	if pr.ld.Validate() != nil {
-		telemetry.Active().DenseFallback()
-		base := m.design()
-		p := base.Cols
-		// Row 0 is the unobserved cell: intercept only.
-		pr.dense = stats.NewMatrix(base.Rows+1, p)
-		pr.dense.Row(0)[0] = 1
-		copy(pr.dense.Data[p:], base.Data)
-		n = pr.dense.Rows
-	}
 	pr.y = make([]float64, n)
 	for s := 1; s < len(tb.Counts); s++ {
 		pr.y[s] = float64(tb.Counts[s]) / scale
@@ -78,13 +66,7 @@ func newProfiler(tb *Table, m Model, limit float64, scale float64) *profiler {
 // pinned to n0, warm-starting from the previous evaluation's maximiser.
 func (pr *profiler) logLik(n0 float64) (float64, error) {
 	pr.y[0] = n0 / pr.scale
-	var res *stats.GLMResult
-	var err error
-	if pr.dense.Rows > 0 {
-		res, err = stats.FitPoissonGLMFlat(pr.dense, pr.y, pr.limits, pr.warm, &pr.ws)
-	} else {
-		res, err = pr.ld.Fit(pr.y, pr.limits, pr.warm, &pr.ws)
-	}
+	res, err := pr.ld.Fit(pr.y, pr.limits, pr.warm, &pr.ws)
 	if err != nil {
 		return 0, err
 	}

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"ghosts/internal/core"
@@ -312,8 +311,8 @@ func LinearGrowth(es []WindowEstimate, pick func(WindowEstimate) float64) float6
 //
 // The series runs on the labelled histogram fast path: one fold per window
 // yields every stratum's contingency table, and each stratum's windows are
-// then estimated in order with cross-window warm starts. StratSeriesDense
-// is the Split-based reference implementation.
+// then estimated in order with cross-window warm starts. The package tests
+// hold the Split-based reference the fold is checked against.
 func (e *Env) StratSeries(k strata.Key, s24 bool) []map[string]float64 {
 	ck := stratKey{k, s24}
 	e.mu.Lock()
@@ -356,53 +355,6 @@ func (e *Env) StratSeries(k strata.Key, s24 bool) []map[string]float64 {
 	e.stratCache[ck] = out
 	e.mu.Unlock()
 	return out
-}
-
-// StratSeriesDense is the dense reference implementation of StratSeries:
-// it materialises per-stratum address sets with strata.Split and builds
-// each contingency table from them. Estimation order and warm-start policy
-// are identical to the fast path, so the two must agree bit for bit — the
-// differential tests pin that. Results are not cached.
-func (e *Env) StratSeriesDense(k strata.Key, s24 bool) []map[string]float64 {
-	splits := make([]map[string][]*ipset.Set, len(e.Win))
-	sizes := make([]map[string]strata.Size, len(e.Win))
-	parallel.ForEach(len(e.Win), func(i int) {
-		b := e.Bundle(i, dataset.DefaultOptions())
-		sets := b.Sets
-		if s24 {
-			sets = b.Sets24()
-		}
-		splits[i] = strata.Split(e.U, sets, k)
-		idxs := e.U.RoutedAllocs(e.Win[i].End)
-		sizes[i] = strata.RoutedSizes(e.U, k, idxs)
-	})
-	seen := map[string]bool{}
-	var labels []string
-	for _, split := range splits {
-		for label := range split {
-			if !seen[label] {
-				seen[label] = true
-				labels = append(labels, label)
-			}
-		}
-	}
-	sort.Strings(labels)
-	tableOf := func(i int, label string) (*core.Table, float64, bool) {
-		group, ok := splits[i][label]
-		if !ok {
-			return nil, 0, false
-		}
-		limit := math.Inf(1)
-		if sz, ok := sizes[i][label]; ok {
-			if s24 {
-				limit = float64(sz.Slash24)
-			} else {
-				limit = float64(sz.Addrs)
-			}
-		}
-		return core.TableFromSets(group, nil), limit, true
-	}
-	return e.stratSweep(labels, tableOf)
 }
 
 // stratSweep estimates every stratum's window series. tableOf returns the

@@ -1,12 +1,63 @@
 package experiments
 
 import (
+	"math"
+	"sort"
 	"testing"
 
+	"ghosts/internal/core"
 	"ghosts/internal/dataset"
 	"ghosts/internal/ipset"
+	"ghosts/internal/parallel"
 	"ghosts/internal/strata"
 )
+
+// stratSeriesSplit is the reference implementation of Env.StratSeries: it
+// materialises per-stratum address sets with strata.Split and builds each
+// contingency table from them. Estimation order and warm-start policy are
+// the fast path's (both run stratSweep), so the two must agree bit for
+// bit. Results are not cached.
+func stratSeriesSplit(e *Env, k strata.Key, s24 bool) []map[string]float64 {
+	splits := make([]map[string][]*ipset.Set, len(e.Win))
+	sizes := make([]map[string]strata.Size, len(e.Win))
+	parallel.ForEach(len(e.Win), func(i int) {
+		b := e.Bundle(i, dataset.DefaultOptions())
+		sets := b.Sets
+		if s24 {
+			sets = b.Sets24()
+		}
+		splits[i] = strata.Split(e.U, sets, k)
+		idxs := e.U.RoutedAllocs(e.Win[i].End)
+		sizes[i] = strata.RoutedSizes(e.U, k, idxs)
+	})
+	seen := map[string]bool{}
+	var labels []string
+	for _, split := range splits {
+		for label := range split {
+			if !seen[label] {
+				seen[label] = true
+				labels = append(labels, label)
+			}
+		}
+	}
+	sort.Strings(labels)
+	tableOf := func(i int, label string) (*core.Table, float64, bool) {
+		group, ok := splits[i][label]
+		if !ok {
+			return nil, 0, false
+		}
+		limit := math.Inf(1)
+		if sz, ok := sizes[i][label]; ok {
+			if s24 {
+				limit = float64(sz.Slash24)
+			} else {
+				limit = float64(sz.Addrs)
+			}
+		}
+		return core.TableFromSets(group, nil), limit, true
+	}
+	return e.stratSweep(labels, tableOf)
+}
 
 // TestStratDifferentialSeries pins the histogram fast path against the
 // dense Split-based reference for every stratification key: identical
@@ -18,7 +69,7 @@ func TestStratDifferentialSeries(t *testing.T) {
 	e := env(t)
 	for _, k := range strata.Keys() {
 		fast := e.StratSeries(k, false)
-		dense := e.StratSeriesDense(k, false)
+		dense := stratSeriesSplit(e, k, false)
 		if len(fast) != len(dense) {
 			t.Fatalf("%v: %d windows vs %d", k, len(fast), len(dense))
 		}

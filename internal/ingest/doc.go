@@ -6,8 +6,9 @@
 // re-estimates the used population N̂ per window on a fixed cadence —
 // dirty windows concurrently, warm-starting each window's IRLS fit from
 // its own previous tick. Windows rotate by wall clock or, with
-// Config.RotateEvery, by accepted-event count; Config.Rebuild selects
-// the set-fold reference path the differential tests compare against.
+// Config.RotateEvery, by accepted-event count. The package tests shadow
+// every accepted event into per-window sets and check each tick's
+// histograms against core.TableFromSets, the set-fold oracle.
 //
 // All behaviour is driven by a logical event clock — the high-water
 // event timestamp — never by the system clock, so replaying a capture

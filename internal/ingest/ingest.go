@@ -49,14 +49,6 @@ type Config struct {
 	// Sources pre-registers source names in table order. Feeds may also
 	// register lazily through Pipeline.Source.
 	Sources []string
-	// Rebuild selects the reference tick path: per-source ipset.Sets per
-	// window, folded through core.TableFromSets on every dirty tick —
-	// the pre-incremental behaviour, O(held addresses) per tick. The
-	// default path maintains each window's capture histogram
-	// incrementally (ipset.MaskHist, O(1) per event) and must emit
-	// bit-identical estimates; the differential tests and the
-	// BenchmarkStreamTick baseline are the only intended users.
-	Rebuild bool
 	// OnTick, when non-nil, is invoked synchronously with every tick, in
 	// tick order, before channel subscribers see it. Replay uses it to
 	// emit a deterministic estimate series.
@@ -103,13 +95,11 @@ func (we *WindowEstimate) Equal(o *WindowEstimate) bool {
 	return true
 }
 
-// windowState is one slot of the window ring. Exactly one of hist/sets is
-// populated once the window holds an event: hist on the default
-// incremental path, sets under Config.Rebuild.
+// windowState is one slot of the window ring; hist is allocated on the
+// window's first event.
 type windowState struct {
 	index int64           // absolute window number; -1 = unused
 	hist  *ipset.MaskHist // incrementally maintained capture histogram
-	sets  []*ipset.Set    // per-source observation sets (Rebuild reference)
 	warm  *core.FitResult // previous tick's accepted fit for this window
 	last  *WindowEstimate // previous tick's published estimate
 	dirty bool            // events arrived since last estimated
@@ -122,7 +112,6 @@ type windowState struct {
 type tickScratch struct {
 	counts []int64
 	names  []string
-	sets   []*ipset.Set
 	keep   []int
 }
 
@@ -269,22 +258,11 @@ func (p *Pipeline) Offer(source int, addr ipv4.Addr, t time.Time) {
 	telemetry.Active().IngestEvent()
 }
 
-// insertLocked lands one accepted event in window w's store. On the
-// default path this is the O(1) incremental histogram update; under
-// Rebuild it is the reference per-source set insert. Stores allocate
-// lazily on a window's first event, and the histogram widens in place
-// when a source registered after the window opened first appears.
+// insertLocked lands one accepted event in window w's capture histogram:
+// the O(1) incremental update. The histogram allocates lazily on a
+// window's first event and widens in place when a source registered after
+// the window opened first appears.
 func (p *Pipeline) insertLocked(w *windowState, source int, addr ipv4.Addr) {
-	if p.cfg.Rebuild {
-		if w.sets == nil {
-			w.sets = make([]*ipset.Set, MaxSources)
-		}
-		if w.sets[source] == nil {
-			w.sets[source] = ipset.New()
-		}
-		w.sets[source].Add(addr)
-		return
-	}
 	if w.hist == nil {
 		w.hist = ipset.NewMaskHist(len(p.names))
 	} else if w.hist.T() < len(p.names) {
@@ -371,10 +349,10 @@ func (p *Pipeline) advanceLocked(t time.Time) {
 }
 
 // openLocked rotates the ring forward until window idx is live. Each
-// rotation clears exactly one slot — the retired window's store (mask
-// pages or sets) is dropped wholesale, never rescanned — so the surviving
-// windows' histograms are untouched and a fresh window always starts
-// empty, even after a quiet period that rotates several windows at once.
+// rotation clears exactly one slot — the retired window's histogram is
+// dropped wholesale, never rescanned — so the surviving windows'
+// histograms are untouched and a fresh window always starts empty, even
+// after a quiet period that rotates several windows at once.
 func (p *Pipeline) openLocked(idx int64) {
 	if idx <= p.newest {
 		return
@@ -550,74 +528,24 @@ func (p *Pipeline) windowBounds(idx int64) (string, string) {
 }
 
 // estimateWindow fits one window using sc's buffers (sc may be nil for a
-// one-off). On the default path the window's incrementally maintained
-// histogram is handed to the estimator through core.TableFromHistogram —
-// compacted over non-empty sources, which is a bijection on non-zero
-// cells because an empty source contributes no mask bits — so no set
-// fold, copy or rescan happens at tick time. Under Config.Rebuild the
-// original TableFromSets fold runs instead. It only writes per-window
-// state (w.warm), so distinct windows may be estimated concurrently.
+// one-off). It only writes per-window state (w.warm), so distinct windows
+// may be estimated concurrently.
 func (p *Pipeline) estimateWindow(w *windowState, sc *tickScratch) WindowEstimate {
 	if sc == nil {
 		sc = new(tickScratch)
 	}
 	var we WindowEstimate
 	we.Start, we.End = p.windowBounds(w.index)
-	var tb *core.Table
-	if p.cfg.Rebuild {
-		sets := sc.sets[:0]
-		names := sc.names[:0]
-		for si, name := range p.names {
-			if w.sets == nil {
-				break
-			}
-			s := w.sets[si]
-			if s == nil || s.Len() == 0 {
-				continue
-			}
-			sets = append(sets, s)
-			names = append(names, name)
-		}
-		sc.sets, sc.names = sets, names
-		we.Sources = len(sets)
-		if len(sets) == 0 {
-			return we
-		}
-		tb = core.TableFromSets(sets, names)
-		we.Observed = tb.Observed()
-		we.Estimate = float64(we.Observed)
-		if len(sets) < 2 {
-			return we // CR cannot see past a single source's union
-		}
-	} else {
-		h := w.hist
-		if h == nil || h.Len() == 0 {
-			return we
-		}
-		t := h.T()
-		keep := sc.keep[:0]
-		for i := 0; i < t; i++ {
-			if h.SourceLen(i) > 0 {
-				keep = append(keep, i)
-			}
-		}
-		sc.keep = keep
-		we.Sources = len(keep)
-		we.Observed = h.Len()
-		we.Estimate = float64(we.Observed)
-		if len(keep) < 2 {
-			return we
-		}
-		names := sc.names[:0]
-		for _, i := range keep {
-			names = append(names, p.names[i])
-		}
-		sc.names = names
-		counts := h.Histogram()
-		if len(keep) < t {
-			counts = compactHistogram(sc, counts, keep)
-		}
-		tb = core.TableFromHistogram(counts, names)
+	h := w.hist
+	if h == nil || h.Len() == 0 {
+		return we
+	}
+	tb := p.windowTable(h, sc)
+	we.Sources = tb.T
+	we.Observed = h.Len()
+	we.Estimate = float64(we.Observed)
+	if tb.T < 2 {
+		return we // CR cannot see past a single source's union
 	}
 	res, fit, err := p.est.EstimateSweepPoint(tb, w.warm)
 	if err != nil {
@@ -633,6 +561,32 @@ func (p *Pipeline) estimateWindow(w *windowState, sc *tickScratch) WindowEstimat
 		we.Model = append(we.Model, core.TermName(h))
 	}
 	return we
+}
+
+// windowTable hands a non-empty window histogram to the estimator through
+// core.TableFromHistogram, compacted over the non-empty sources — a
+// bijection on non-zero cells, because an empty source contributes no mask
+// bits — so no set fold, copy or rescan happens at tick time. The table
+// aliases sc's buffers (or the histogram itself when no source is empty).
+func (p *Pipeline) windowTable(h *ipset.MaskHist, sc *tickScratch) *core.Table {
+	t := h.T()
+	keep := sc.keep[:0]
+	for i := 0; i < t; i++ {
+		if h.SourceLen(i) > 0 {
+			keep = append(keep, i)
+		}
+	}
+	sc.keep = keep
+	names := sc.names[:0]
+	for _, i := range keep {
+		names = append(names, p.names[i])
+	}
+	sc.names = names
+	counts := h.Histogram()
+	if len(keep) < t {
+		counts = compactHistogram(sc, counts, keep)
+	}
+	return core.TableFromHistogram(counts, names)
 }
 
 // compactHistogram folds hist (over the window's full source span) onto

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ghosts/internal/core"
 	"ghosts/internal/serve"
 	"ghosts/internal/telemetry"
 )
@@ -190,6 +191,29 @@ func TestEstimateValidationErrors(t *testing.T) {
 				t.Fatalf("envelope = %+v, want code %q", env, tc.code)
 			}
 		})
+	}
+}
+
+// TestEstimateOneSourceUnprocessable: a table in which only one source
+// observed anything is well-formed but cannot be estimated, so it gets a
+// 422 whose message names the cause.
+func TestEstimateOneSourceUnprocessable(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, b := postJSON(t, ts.URL+"/v1/estimate", `{"counts":[0,1500,0,0,0,0,0,0]}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, body %s", resp.StatusCode, b)
+	}
+	var env struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(b, &env); err != nil {
+		t.Fatalf("error body is not JSON: %s", b)
+	}
+	if env.Error.Code != "estimation_failed" || env.Error.Message != core.ErrTooFewSources.Error() {
+		t.Fatalf("error = %+v, want estimation_failed with %q", env.Error, core.ErrTooFewSources)
 	}
 }
 

@@ -9,9 +9,10 @@
 // series/continued-fraction for the regularized incomplete gamma, Acklam's
 // rational approximation for the normal quantile).
 //
-// The main entry points are FitPoissonGLM and its allocation-lean core
-// FitPoissonGLMFlat (flat row-major Matrix design, reusable Workspace,
-// warm-start coefficients), TruncPoisson (truncated mean/variance, §3.3.1),
-// ChiSquare1Quantile (the profile-interval cutoff, §3.3.3), and the dense
-// solvers Solve / SolveSPD.
+// The main entry points are Lattice.Fit (the GLM over the capture-history
+// lattice: subset-indicator designs fitted by zeta transforms, reusable
+// Workspace, warm-start coefficients), TruncPoisson (truncated
+// mean/variance, §3.3.1), ChiSquare1Quantile (the profile-interval cutoff,
+// §3.3.3), and the dense solvers Solve / SolveSPD. The dense row-major
+// GLM kernel lives in the package tests as the lattice kernel's oracle.
 package stats

@@ -7,6 +7,9 @@ import (
 	"ghosts/internal/rng"
 )
 
+// Tests of the dense reference kernel (dense_test.go) itself: before it
+// can serve as the lattice kernel's oracle it must recover known answers.
+
 func TestGLMInterceptOnly(t *testing.T) {
 	// With only an intercept, the MLE rate is the sample mean.
 	y := []float64{3, 5, 7, 9}
@@ -143,23 +146,6 @@ func TestGLMLargeCounts(t *testing.T) {
 	approx(t, "rate 1", res.Fitted[1], 7e8, 3)
 }
 
-func BenchmarkGLMFit(b *testing.B) {
-	r := rng.New(3)
-	const n = 127 // 2^7-1 cells: a 7-source contingency table
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = []float64{1, r.Float64(), r.Float64(), r.Float64()}
-		y[i] = float64(r.Poisson(50))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FitPoissonGLM(x, y, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestGLMFlatMatchesRowAPI(t *testing.T) {
 	// The flat workspace kernel must be bit-identical to the [][]float64
 	// entry point, and a reused workspace must not leak state across fits.
@@ -214,26 +200,4 @@ func TestMatrixRow(t *testing.T) {
 		t.Fatal("append through a row view corrupted the next row")
 	}
 	_ = r0
-}
-
-func BenchmarkGLMFitWorkspace(b *testing.B) {
-	// The alloc-lean path the estimation engine actually runs: flat design,
-	// reused workspace.
-	r := rng.New(3)
-	const n = 127
-	x := NewMatrix(n, 4)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		row[0], row[1], row[2], row[3] = 1, r.Float64(), r.Float64(), r.Float64()
-		y[i] = float64(r.Poisson(50))
-	}
-	var ws Workspace
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FitPoissonGLMFlat(x, y, nil, nil, &ws); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

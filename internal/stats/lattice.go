@@ -18,8 +18,8 @@ import (
 //	(Xᵀr)[j]     = Σ_{s ⊇ Masks[j]} r_s            (one superset sum of r)
 //	η_s          = Σ_{m ⊆ s} c_m, c scattered β    (one subset sum)
 //
-// so each Fisher-scoring iteration costs O(T·2^T + p²) instead of the dense
-// kernel's O(p²·2^T). Rows are lattice cells: cell s holds the observation
+// so each Fisher-scoring iteration costs O(T·2^T + p²) instead of a dense
+// design's O(p²·2^T). Rows are lattice cells: cell s holds the observation
 // with capture history s. Cell 0 (the unobserved history) is excluded
 // unless Cell0 is set — the profile-likelihood fit pins the unobserved
 // count by including exactly that cell, whose design row is the intercept
@@ -118,11 +118,11 @@ func LatticeEta(t int, masks []int, coef []float64, eta []float64) {
 // for plain Poisson), init optional warm-start coefficients in column
 // order, and ws reusable scratch (nil for a one-off fit).
 //
-// The returned GLMResult matches FitPoissonGLMFlat's contract except that
-// Fitted is indexed by lattice cell (length 2^T; entry 0 is the fitted
-// unobserved-cell rate whether or not Cell0 is set). Summation order
-// differs from the dense kernel, so coefficients agree to tolerance
-// (≤1e-9 relative, pinned by the differential tests), not bit-exactly.
+// Fitted in the returned GLMResult is indexed by lattice cell (length 2^T;
+// entry 0 is the fitted unobserved-cell rate whether or not Cell0 is set).
+// The dense row-major kernel in the package tests is the oracle: its
+// summation order differs, so coefficients agree to tolerance (≤1e-9
+// relative, pinned by the differential tests), not bit-exactly.
 func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, error) {
 	if err := ld.Validate(); err != nil {
 		return nil, err
@@ -135,8 +135,7 @@ func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, err
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	ws.reserve(n, p)
-	ws.reserveLattice(n)
+	ws.reserveLattice(n, p)
 
 	first := 1 // first active cell
 	if ld.Cell0 {
@@ -233,7 +232,7 @@ func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, err
 			return nil, err
 		}
 		// Step halving: accept the longest step that does not reduce the
-		// log-likelihood (identical policy to the dense kernel).
+		// log-likelihood.
 		step := 1.0
 		var nextLL float64
 		improved := false
@@ -278,7 +277,6 @@ func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, err
 		fitted[s] = math.Exp(e)
 	}
 	telemetry.Active().FitDone(it+1, converged)
-	telemetry.Active().LatticeFit()
 	outCoef := make([]float64, p)
 	copy(outCoef, coef)
 	return &GLMResult{

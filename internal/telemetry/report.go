@@ -39,8 +39,6 @@ type Report struct {
 type FitReport struct {
 	Count           int64             `json:"count"`
 	NonConverged    int64             `json:"non_converged"`
-	LatticeFits     int64             `json:"lattice_fits"`
-	DenseFallbacks  int64             `json:"dense_fallbacks"`
 	WarmStartSaved  int64             `json:"warm_start_iters_saved"`
 	SweepWarmStarts int64             `json:"sweep_warm_starts"`
 	Iterations      HistogramSnapshot `json:"iterations"`
@@ -176,8 +174,6 @@ func (r *Recorder) Report(started, finished time.Time, workers int) *Report {
 	rep.Fit = FitReport{
 		Count:           r.Fits.Load(),
 		NonConverged:    r.FitNonConverged.Load(),
-		LatticeFits:     r.LatticeFits.Load(),
-		DenseFallbacks:  r.DenseFallbacks.Load(),
 		WarmStartSaved:  r.WarmStartSaved.Load(),
 		SweepWarmStarts: r.SweepWarmStarts.Load(),
 		Iterations:      r.FitIters.Snapshot(),

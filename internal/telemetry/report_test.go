@@ -15,8 +15,6 @@ func populate() *Recorder {
 	r := NewRecorder()
 	r.FitDone(3, true)
 	r.FitDone(5, false)
-	r.LatticeFit()
-	r.DenseFallback()
 	r.WarmStartSavedIters(6)
 	r.WarmStartSavedIters(0) // no-op: nothing saved
 	r.SweepWarmStart()
@@ -98,8 +96,6 @@ const goldenReport = `{
   "glm_fit": {
     "count": 2,
     "non_converged": 1,
-    "lattice_fits": 1,
-    "dense_fallbacks": 1,
     "warm_start_iters_saved": 6,
     "sweep_warm_starts": 1,
     "iterations": {

@@ -205,12 +205,10 @@ type Phase struct {
 //
 // OBSERVABILITY.md documents each metric's name, unit and emission point.
 type Recorder struct {
-	// GLM kernel (stats.FitPoissonGLMFlat, stats.Lattice.Fit).
+	// GLM kernel (stats.Lattice.Fit).
 	Fits            Counter   // completed Fisher-scoring fits
 	FitIters        Histogram // iterations per fit
 	FitNonConverged Counter   // fits that hit the iteration cap or stalled
-	LatticeFits     Counter   // fits served by the zeta-transform lattice kernel
-	DenseFallbacks  Counter   // engine fits routed to the dense kernel instead
 	WarmStartSaved  Counter   // Fisher iterations saved by warm-started profile evals
 	SweepWarmStarts Counter   // final fits warm-started from an adjacent window's fit
 
@@ -300,23 +298,6 @@ func (r *Recorder) FitDone(iterations int, converged bool) {
 	if !converged {
 		r.FitNonConverged.Inc()
 	}
-}
-
-// LatticeFit records a fit served by the lattice (zeta-transform) kernel.
-func (r *Recorder) LatticeFit() {
-	if r == nil {
-		return
-	}
-	r.LatticeFits.Inc()
-}
-
-// DenseFallback records an engine fit that could not use the lattice
-// kernel and ran the dense row-major path instead.
-func (r *Recorder) DenseFallback() {
-	if r == nil {
-		return
-	}
-	r.DenseFallbacks.Inc()
 }
 
 // WarmStartSavedIters records Fisher iterations avoided because a profile

@@ -13,6 +13,7 @@
 # ns/op. Set GHOSTS_BENCH_NO_TELEMETRY=1 to skip it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 PATTERN="${1:-.}"
 BENCHTIME="${2:-1x}"
@@ -162,13 +163,7 @@ if [ -z "${GHOSTS_BENCH_NO_SERVE:-}" ]; then
     go build -o "$SERVEDIR/ghostsd" ./cmd/ghostsd
     "$SERVEDIR/ghostsd" -addr 127.0.0.1:0 -metrics "$SERVEOUT" 2> "$SERVELOG" &
     SERVEPID=$!
-    BASE=""
-    for _ in $(seq 1 100); do
-        BASE="$(sed -n 's#.*listening on \(http://[^ ]*\).*#\1#p' "$SERVELOG" | head -n 1)"
-        [ -n "$BASE" ] && break
-        sleep 0.1
-    done
-    [ -n "$BASE" ] || { echo "ghostsd never came up:" >&2; cat "$SERVELOG" >&2; exit 1; }
+    BASE="$(wait_base "$SERVELOG")" || { echo "ghostsd never came up:" >&2; cat "$SERVELOG" >&2; exit 1; }
     REQ='{"counts":[0,400,350,120,300,90,80,40],"limit":5000}'
     ALT='{"counts":[0,400,350,120,300,90,80,40],"limit":6000}'
     for _ in $(seq 1 10); do
@@ -192,32 +187,23 @@ if [ -z "${GHOSTS_BENCH_NO_FLEET:-}" ]; then
     FLEETDIR="$(mktemp -d)"
     go build -o "$FLEETDIR/ghostsd" ./cmd/ghostsd
     go build -o "$FLEETDIR/ghosts-loadgen" ./cmd/ghosts-loadgen
-    fleet_base() { # logfile -> prints base URL once the daemon logs it
-        local base=""
-        for _ in $(seq 1 100); do
-            base="$(sed -n 's#.*listening on \(http://[^ ]*\).*#\1#p' "$1" | head -n 1)"
-            [ -n "$base" ] && { echo "$base"; return 0; }
-            sleep 0.1
-        done
-        return 1
-    }
     # Peer wiring needs both URLs up front but ports are dynamic, so: boot
     # worker 1 to learn its port, boot worker 2 peering at it, then restart
     # worker 1 on its (just freed) port peering back — fully symmetric, so
     # a displaced key is a byte copy on either worker, never a second fit.
     "$FLEETDIR/ghostsd" -addr 127.0.0.1:0 2> "$FLEETDIR/w1.log" &
     FW1PID=$!
-    FW1="$(fleet_base "$FLEETDIR/w1.log")" || { echo "fleet worker 1 never came up" >&2; exit 1; }
+    FW1="$(wait_base "$FLEETDIR/w1.log")" || { echo "fleet worker 1 never came up" >&2; exit 1; }
     "$FLEETDIR/ghostsd" -addr 127.0.0.1:0 -peers "$FW1" 2> "$FLEETDIR/w2.log" &
     FW2PID=$!
-    FW2="$(fleet_base "$FLEETDIR/w2.log")" || { echo "fleet worker 2 never came up" >&2; exit 1; }
+    FW2="$(wait_base "$FLEETDIR/w2.log")" || { echo "fleet worker 2 never came up" >&2; exit 1; }
     kill -TERM "$FW1PID" && wait "$FW1PID"
     "$FLEETDIR/ghostsd" -addr "${FW1#http://}" -peers "$FW2" 2> "$FLEETDIR/w1b.log" &
     FW1PID=$!
-    FW1="$(fleet_base "$FLEETDIR/w1b.log")" || { echo "fleet worker 1 never came back up" >&2; exit 1; }
+    FW1="$(wait_base "$FLEETDIR/w1b.log")" || { echo "fleet worker 1 never came back up" >&2; exit 1; }
     "$FLEETDIR/ghostsd" -router "$FW1,$FW2" -addr 127.0.0.1:0 2> "$FLEETDIR/router.log" &
     FRPID=$!
-    FROUTER="$(fleet_base "$FLEETDIR/router.log")" || { echo "fleet router never came up" >&2; exit 1; }
+    FROUTER="$(wait_base "$FLEETDIR/router.log")" || { echo "fleet router never came up" >&2; exit 1; }
     "$FLEETDIR/ghosts-loadgen" -target "$FROUTER" \
         -requests 300 -concurrency 8 -corpus 48 -out "$FLEETOUT"
     for pid in "$FRPID" "$FW1PID" "$FW2PID"; do

@@ -4,6 +4,7 @@
 # race detector is mandatory, not optional.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 echo "== go build =="
 go build ./...
@@ -25,8 +26,9 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== lattice/dense differential (-race) =="
-# The lattice IRLS kernel must agree with the dense reference kernel to
-# tolerance on every design shape (DESIGN.md §8): the differential property
+# The lattice IRLS kernel must agree with the dense reference kernel (the
+# oracle in the stats tests) to tolerance on every design shape (DESIGN.md
+# §8): the differential property
 # tests are the licence for routing all engine fits through the lattice
 # path, so they run as their own named gate, race-enabled and uncached.
 go test -race -count=1 -run 'TestLattice|TestMoments' ./internal/stats
@@ -58,10 +60,11 @@ echo "== incremental histogram differential + churn (-race) =="
 # The tick path reads per-window capture-mask histograms that Offer
 # mutates in place, and dirty windows re-estimate concurrently
 # (STREAMING.md "Incremental histograms"). Two licences, both named and
-# uncached: the differential suite pins the incremental path bit-identical
-# to the set-rebuild reference (serial and parallel), and the churn test
-# hammers concurrent Offer + tick + subscriber churn — including the
-# delta-frame derivation — under the race detector.
+# uncached: the differential suite checks every tick's histogram tables
+# against tables rebuilt from the test-side set oracle (serial and
+# parallel), and the churn test hammers concurrent Offer + tick +
+# subscriber churn — including the delta-frame derivation — under the
+# race detector.
 go test -race -count=1 \
     -run 'TestIncrementalMatchesRebuild|TestParallelTickMatchesSerial|TestIngestConcurrentChurn' \
     ./internal/ingest
@@ -104,13 +107,7 @@ trap cleanup_smoke EXIT
 go build -o "$SMOKEDIR/ghostsd" ./cmd/ghostsd
 "$SMOKEDIR/ghostsd" -addr 127.0.0.1:0 2> "$SMOKELOG" &
 SMOKEPID=$!
-BASE=""
-for _ in $(seq 1 100); do
-    BASE="$(sed -n 's#.*listening on \(http://[^ ]*\).*#\1#p' "$SMOKELOG" | head -n 1)"
-    [ -n "$BASE" ] && break
-    sleep 0.1
-done
-[ -n "$BASE" ] || { echo "ghostsd never came up:" >&2; cat "$SMOKELOG" >&2; exit 1; }
+BASE="$(wait_base "$SMOKELOG")" || { echo "ghostsd never came up:" >&2; cat "$SMOKELOG" >&2; exit 1; }
 curl -fsS "$BASE/healthz" | grep -q '^ok$'
 curl -fsS -X POST "$BASE/v1/estimate" \
     -d '{"counts":[0,400,350,120,300,90,80,40],"limit":5000}' \
@@ -134,15 +131,6 @@ cleanup_fleet() { # replaces cleanup_smoke as the EXIT trap, so take SMOKEDIR to
     rm -rf "$FLEETDIR" "$SMOKEDIR" # SMOKEDIR still holds the shared binary
 }
 trap cleanup_fleet EXIT
-wait_base() { # logfile -> prints base URL once the daemon logs it
-    local base=""
-    for _ in $(seq 1 100); do
-        base="$(sed -n 's#.*listening on \(http://[^ ]*\).*#\1#p' "$1" | head -n 1)"
-        [ -n "$base" ] && { echo "$base"; return 0; }
-        sleep 0.1
-    done
-    return 1
-}
 "$SMOKEDIR/ghostsd" -addr 127.0.0.1:0 2> "$FLEETDIR/w1.log" &
 W1PID=$!
 "$SMOKEDIR/ghostsd" -addr 127.0.0.1:0 2> "$FLEETDIR/w2.log" &
