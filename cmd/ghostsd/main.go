@@ -147,19 +147,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ghostsd: %v\n", err)
 			os.Exit(1)
 		}
-		err = rt.Run(ctx, *addrFlag)
-		if *metricsFlag != "" {
-			rep := rec.Report(start, time.Now(), parallel.Workers())
-			if werr := rep.WriteFile(*metricsFlag); werr != nil {
-				fmt.Fprintf(os.Stderr, "ghostsd: writing metrics report: %v\n", werr)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "ghostsd: wrote telemetry run report to %s\n", *metricsFlag)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ghostsd: %v\n", err)
-			os.Exit(1)
-		}
+		shutdownReport(rec, start, *metricsFlag, rt.Run(ctx, *addrFlag))
 		return
 	}
 
@@ -279,17 +267,23 @@ func main() {
 		}()
 	}
 
-	err := srv.Run(ctx, *addrFlag)
-	if *metricsFlag != "" {
+	shutdownReport(rec, start, *metricsFlag, srv.Run(ctx, *addrFlag))
+}
+
+// shutdownReport ends a serve run in either mode: it writes the telemetry
+// run report to path when -metrics asked for one, then exits 1 if the
+// report or the serve loop (runErr) failed.
+func shutdownReport(rec *telemetry.Recorder, start time.Time, path string, runErr error) {
+	if path != "" {
 		rep := rec.Report(start, time.Now(), parallel.Workers())
-		if werr := rep.WriteFile(*metricsFlag); werr != nil {
-			fmt.Fprintf(os.Stderr, "ghostsd: writing metrics report: %v\n", werr)
+		if err := rep.WriteFile(path); err != nil {
+			fmt.Fprintf(os.Stderr, "ghostsd: writing metrics report: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "ghostsd: wrote telemetry run report to %s\n", *metricsFlag)
+		fmt.Fprintf(os.Stderr, "ghostsd: wrote telemetry run report to %s\n", path)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ghostsd: %v\n", err)
+	if runErr != nil {
+		fmt.Fprintf(os.Stderr, "ghostsd: %v\n", runErr)
 		os.Exit(1)
 	}
 }

@@ -32,7 +32,9 @@
 //     the next ring candidate with exponential backoff, and an optional
 //     hedge launches the next candidate when the current attempt is slow.
 //     Worker response bytes are relayed verbatim, which is what extends
-//     the byte-identity guarantee across routed and failover paths.
+//     the byte-identity guarantee across routed and failover paths. Its
+//     HTTP edge — middleware, error envelope, strict decoding, /healthz
+//     and the drain loop — is the worker's own, from internal/server.
 //   - PeerFiller: the worker-side half of "only one node ever computes a
 //     given estimate". On a local cache miss a worker asks the key's
 //     likely owners for their stored bytes (GET /v1/cache/{key}) before

@@ -78,17 +78,8 @@ func (p *Prober) ProbeMember(ctx context.Context, member string) bool {
 
 // probe returns whether member currently passes /readyz.
 func (p *Prober) probe(ctx context.Context, member string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, member+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 256))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	resp, _, err := fetch(ctx, p.client, http.MethodGet, member+"/readyz", nil)
+	return err == nil && resp.StatusCode == http.StatusOK
 }
 
 // Start launches the periodic probe loop and returns immediately; the

@@ -60,17 +60,7 @@ func (j *Joiner) postJSON(ctx context.Context, path string, v, out any) error {
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, j.router+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := j.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBytes))
+	resp, b, err := fetch(ctx, j.client, http.MethodPost, j.router+path, body)
 	if err != nil {
 		return err
 	}
@@ -106,16 +96,7 @@ func (j *Joiner) Leave(ctx context.Context) error {
 // Peers fetches the router's current member list and returns every member
 // URL except the worker's own.
 func (j *Joiner) Peers(ctx context.Context) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, j.router+"/v1/fleet", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := j.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBytes))
+	resp, b, err := fetch(ctx, j.client, http.MethodGet, j.router+"/v1/fleet", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -384,4 +386,74 @@ func TestProberPicksUpRegistryChanges(t *testing.T) {
 	if got := rt.Ring().Live(); got != 1 {
 		t.Fatalf("live after probe pass = %d, want 1", got)
 	}
+}
+
+// TestJoinerPeersRejectsOversized: a /v1/fleet reply over the response cap
+// is an error that names the cap, not a syntax error from decoding a
+// truncated prefix.
+func TestJoinerPeersRejectsOversized(t *testing.T) {
+	huge := bytes.Repeat([]byte(" "), maxUpstreamBytes+1)
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(huge)
+	}))
+	t.Cleanup(router.Close)
+
+	j, err := NewJoiner(router.URL, "http://127.0.0.1:1", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = j.Peers(context.Background())
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte cap", maxUpstreamBytes)) {
+		t.Fatalf("Peers error = %v, want one naming the %d-byte cap", err, maxUpstreamBytes)
+	}
+}
+
+// FuzzDecodeJoinBody feeds arbitrary bytes through the join/leave body
+// decoder: it must never panic, every rejection is a 400 error envelope
+// coded invalid_json or invalid_request, and every accepted URL is already
+// in normal form.
+func FuzzDecodeJoinBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"url":"http://10.0.0.7:8080"}`,
+		`{"url":" 10.0.0.7:8080/ ","ttl_seconds":15}`,
+		`{"url":"https://user@h:1/","ttl_seconds":0.5}`,
+		`{"url":"http://h:1","ttl_seconds":-1}`,
+		`{"url":"ftp://h"}`,
+		`{"url":"http://h:1/path?q=1"}`,
+		`{"url":"http://h:1","bogus":true}`,
+		`{"url":"http://h:1"} x`,
+		`{]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/fleet/join", bytes.NewReader(body))
+		_, member, ok := decodeJoinBody(rec, req)
+		if ok {
+			if rec.Body.Len() != 0 {
+				t.Fatalf("accepted body %q also wrote a response: %s", body, rec.Body.Bytes())
+			}
+			if norm, err := NormalizeMemberURL(member); err != nil || norm != member {
+				t.Fatalf("accepted URL %q is not normal: NormalizeMemberURL = %q, %v", member, norm, err)
+			}
+			return
+		}
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("rejected body %q answered %d, want 400", body, rec.Code)
+		}
+		var env struct {
+			Kind  string `json:"kind"`
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("rejected body %q answered an undecodable envelope: %s", body, rec.Body.Bytes())
+		}
+		if env.Kind != "error" || (env.Error.Code != "invalid_json" && env.Error.Code != "invalid_request") {
+			t.Fatalf("rejected body %q answered kind %q code %q", body, env.Kind, env.Error.Code)
+		}
+	})
 }

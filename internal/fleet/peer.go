@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"time"
 )
@@ -53,19 +52,8 @@ func NewPeerFiller(peers []string, fanout int, timeout time.Duration) *PeerFille
 // (compute locally) is always correct.
 func (pf *PeerFiller) Fill(ctx context.Context, key string) ([]byte, bool) {
 	for _, peer := range pf.ring.Sequence(key, pf.fanout) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cache/"+key, nil)
-		if err != nil {
-			continue
-		}
-		resp, err := pf.client.Do(req)
-		if err != nil {
-			continue
-		}
-		// Read one byte past the cap so an oversized body is detected and
-		// treated as a miss, never cached as a silently truncated prefix.
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBytes+1))
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || len(b) > maxUpstreamBytes {
+		resp, b, err := fetch(ctx, pf.client, http.MethodGet, peer+"/v1/cache/"+key, nil)
+		if err != nil || resp.StatusCode != http.StatusOK {
 			continue
 		}
 		return b, true

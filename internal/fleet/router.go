@@ -3,25 +3,53 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"ghosts/internal/serve"
+	"ghosts/internal/server"
 	"ghosts/internal/telemetry"
 )
 
-// maxBodyBytes mirrors the worker's request-body cap.
-const maxBodyBytes = 4 << 20
-
-// maxUpstreamBytes caps a relayed worker response (a 16-source estimate
-// response is far smaller).
+// maxUpstreamBytes caps the body of every response the fleet reads from
+// another node — relayed estimates, peer fills, registry replies and
+// probes (a 16-source estimate response is far smaller).
 const maxUpstreamBytes = 8 << 20
+
+// fetch sends one request to url through client and returns the response
+// with its body read in full; a non-nil body is sent as JSON. It reads one
+// byte past maxUpstreamBytes so an oversized body is an error, never a
+// silently truncated prefix that is relayed, cached or decoded as if it
+// were whole.
+func fetch(ctx context.Context, client *http.Client, method, url string, body []byte) (*http.Response, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBytes+1))
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(b) > maxUpstreamBytes {
+		return nil, nil, fmt.Errorf("%s %s: response exceeds the %d-byte cap", method, url, maxUpstreamBytes)
+	}
+	return resp, b, nil
+}
 
 // RouterConfig assembles a Router. Zero values select the defaults noted.
 type RouterConfig struct {
@@ -74,14 +102,12 @@ type RouterConfig struct {
 type Router struct {
 	cfg      RouterConfig
 	mux      *http.ServeMux
+	edge     *server.Edge
 	ring     *Ring
 	registry *Registry
 	balancer *Balancer
 	prober   *Prober
 	client   *http.Client
-	ready    atomic.Bool
-	addr     atomic.Value // string
-	log      io.Writer
 }
 
 // NewRouter builds a Router from cfg. A router with no static Workers is
@@ -98,9 +124,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 25 * time.Millisecond
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 30 * time.Second
 	}
 	log := cfg.Log
 	if log == nil {
@@ -123,20 +146,19 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
+		edge:     server.NewEdge("router ", log, cfg.DrainTimeout),
 		ring:     ring,
 		registry: registry,
 		balancer: NewBalancer(ring, cfg.LoadBound),
 		prober:   NewProber(ring, registry.Members, cfg.ProbeEvery, cfg.ProbeTimeout, log),
 		client:   client,
-		log:      log,
 	}
-	rt.ready.Store(true)
-	rt.mux.HandleFunc("POST /v1/estimate", rt.instrument("fleet.estimate", rt.handleEstimate))
-	rt.mux.HandleFunc("GET /v1/fleet", rt.instrument("fleet.members", rt.handleFleet))
-	rt.mux.HandleFunc("POST /v1/fleet/join", rt.instrument("fleet.join", rt.handleJoin))
-	rt.mux.HandleFunc("POST /v1/fleet/leave", rt.instrument("fleet.leave", rt.handleLeave))
-	rt.mux.HandleFunc("GET /healthz", rt.instrument("healthz", rt.handleHealthz))
-	rt.mux.HandleFunc("GET /readyz", rt.instrument("readyz", rt.handleReadyz))
+	rt.mux.HandleFunc("POST /v1/estimate", server.Instrument(log, "fleet.estimate", rt.handleEstimate))
+	rt.mux.HandleFunc("GET /v1/fleet", server.Instrument(log, "fleet.members", rt.handleFleet))
+	rt.mux.HandleFunc("POST /v1/fleet/join", server.Instrument(log, "fleet.join", rt.handleJoin))
+	rt.mux.HandleFunc("POST /v1/fleet/leave", server.Instrument(log, "fleet.leave", rt.handleLeave))
+	rt.mux.HandleFunc("GET /healthz", server.Instrument(log, "healthz", server.Healthz))
+	rt.mux.HandleFunc("GET /readyz", server.Instrument(log, "readyz", rt.handleReadyz))
 	return rt, nil
 }
 
@@ -144,12 +166,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // Addr returns the bound listen address once Run is serving ("" before).
-func (rt *Router) Addr() string {
-	if v := rt.addr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
-}
+func (rt *Router) Addr() string { return rt.edge.Addr() }
 
 // ProbeNow forces one synchronous membership refresh. Run calls it before
 // accepting traffic; tests call it to make membership transitions
@@ -168,104 +185,8 @@ func (rt *Router) Registry() *Registry { return rt.registry }
 func (rt *Router) Run(ctx context.Context, addr string) error {
 	rt.ProbeNow(ctx)
 	rt.prober.Start(ctx)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	rt.addr.Store(ln.Addr().String())
-	hs := &http.Server{
-		Handler:           rt.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		BaseContext:       func(net.Listener) context.Context { return ctx },
-	}
-	fmt.Fprintf(rt.log, "ghostsd: listening on http://%s (router, %d static workers, dynamic joins on POST /v1/fleet/join)\n", ln.Addr(), len(rt.cfg.Workers))
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintf(rt.log, "ghostsd: router shutting down (draining for up to %v)\n", rt.cfg.DrainTimeout)
-	rt.ready.Store(false)
-	shutCtx, cancel := context.WithTimeout(context.Background(), rt.cfg.DrainTimeout)
-	defer cancel()
-	shutErr := hs.Shutdown(shutCtx)
-	fmt.Fprintf(rt.log, "ghostsd: router shutdown complete\n")
-	return shutErr
-}
-
-// instrument mirrors the worker server's middleware: request counter,
-// latency histogram, per-route phase, outermost panic barrier.
-func (rt *Router) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		defer func() {
-			if rv := recover(); rv != nil {
-				telemetry.Active().PanicRecovered()
-				fmt.Fprintf(rt.log, "ghostsd: panic in %s handler: %v\n", route, rv)
-				sw.status = http.StatusInternalServerError
-				if !sw.wrote {
-					writeError(sw, http.StatusInternalServerError, "internal_panic",
-						"internal error (recovered panic): %v", rv)
-				}
-			}
-			telemetry.Active().HTTPDone(route, time.Since(t0), sw.status >= 400)
-		}()
-		h(sw, r)
-	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the wrapped writer (mirroring the worker server's
-// statusWriter) so a streamed passthrough is not buffered behind the
-// instrument middleware.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// errorEnvelope matches the worker's uniform error body, so clients see
-// one error schema whether a request died at the router or a worker.
-type errorEnvelope struct {
-	API   string    `json:"api"`
-	Kind  string    `json:"kind"`
-	Error errorBody `json:"error"`
-}
-
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(errorEnvelope{
-		API:   serve.APIVersion,
-		Kind:  "error",
-		Error: errorBody{Code: code, Message: fmt.Sprintf(format, args...)},
-	})
+	note := fmt.Sprintf(" (router, %d static workers, dynamic joins on POST /v1/fleet/join)", len(rt.cfg.Workers))
+	return rt.edge.Serve(ctx, addr, rt.mux, note, nil)
 }
 
 // upstream is one forward attempt's outcome.
@@ -296,24 +217,13 @@ func (u *upstream) retryable() bool {
 // failures walk the ring with backoff; an optional hedge races the next
 // candidate against a slow one.
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_json", "reading request: %v", err)
-		return
-	}
 	var req serve.EstimateRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_json", "decoding request: %v", err)
-		return
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "invalid_json", "unexpected data after JSON body")
+	raw, ok := server.DecodeJSON(w, r, &req)
+	if !ok {
 		return
 	}
 	if err := req.Normalize(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", "%s", err.Error())
+		server.WriteError(w, http.StatusBadRequest, "invalid_request", "%s", err.Error())
 		return
 	}
 	key := req.Key()
@@ -323,7 +233,7 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if len(cands) == 0 {
 		telemetry.Active().FleetGaveUp()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "no_ready_workers",
+		server.WriteError(w, http.StatusServiceUnavailable, "no_ready_workers",
 			"no fleet worker is passing /readyz")
 		return
 	}
@@ -335,7 +245,7 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		if u != nil {
 			msg = fmt.Sprintf("last worker (%s): %v", u.member, u.err)
 		}
-		writeError(w, http.StatusBadGateway, "fleet_exhausted", "%s", msg)
+		server.WriteError(w, http.StatusBadGateway, "fleet_exhausted", "%s", msg)
 		return
 	}
 	if len(owner) > 0 && u.member != owner[0] {
@@ -449,25 +359,9 @@ func (rt *Router) forward(ctx context.Context, cands []string, body []byte) *ups
 func (rt *Router) attempt(ctx context.Context, member string, body []byte) *upstream {
 	release := rt.balancer.Acquire(member)
 	defer release()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, member+"/v1/estimate", bytes.NewReader(body))
+	resp, b, err := fetch(ctx, rt.client, http.MethodPost, member+"/v1/estimate", body)
 	if err != nil {
 		return &upstream{member: member, err: err}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return &upstream{member: member, err: err}
-	}
-	defer resp.Body.Close()
-	// Read one byte past the cap: a LimitReader alone would silently
-	// truncate an oversized response and relay the corrupt prefix as
-	// success. Over-cap responses are rejected as attempt failures instead.
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBytes+1))
-	if err != nil {
-		return &upstream{member: member, err: err}
-	}
-	if len(b) > maxUpstreamBytes {
-		return &upstream{member: member, err: fmt.Errorf("response exceeds the %d-byte relay cap", maxUpstreamBytes)}
 	}
 	return &upstream{
 		member: member,
@@ -516,11 +410,7 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 		}
 		env.Members = append(env.Members, m)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(env)
+	server.WriteJSON(w, http.StatusOK, env)
 }
 
 // joinRequest is the body of POST /v1/fleet/join (initial registration and
@@ -547,23 +437,16 @@ type leaseEnvelope struct {
 // the normalised member URL.
 func decodeJoinBody(w http.ResponseWriter, r *http.Request) (joinRequest, string, bool) {
 	var req joinRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_json", "decoding request: %v", err)
-		return req, "", false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "invalid_json", "unexpected data after JSON body")
+	if _, ok := server.DecodeJSON(w, r, &req); !ok {
 		return req, "", false
 	}
 	member, err := NormalizeMemberURL(req.URL)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", "%s", err.Error())
+		server.WriteError(w, http.StatusBadRequest, "invalid_request", "%s", err.Error())
 		return req, "", false
 	}
 	if req.TTLSeconds < 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request", "ttl_seconds must be non-negative")
+		server.WriteError(w, http.StatusBadRequest, "invalid_request", "ttl_seconds must be non-negative")
 		return req, "", false
 	}
 	return req, member, true
@@ -582,11 +465,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	ttl := clampTTL(time.Duration(req.TTLSeconds*float64(time.Second)), rt.cfg.LeaseTTL)
 	rt.registry.Join(member, ttl)
 	live := rt.prober.ProbeMember(r.Context(), member)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(leaseEnvelope{
+	server.WriteJSON(w, http.StatusOK, leaseEnvelope{
 		API:              serve.APIVersion,
 		Kind:             "lease",
 		URL:              member,
@@ -613,16 +492,7 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	known := rt.registry.Leave(member)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(leftEnvelope{API: serve.APIVersion, Kind: "left", URL: member, Registered: known})
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
+	server.WriteJSON(w, http.StatusOK, leftEnvelope{API: serve.APIVersion, Kind: "left", URL: member, Registered: known})
 }
 
 // handleReadyz: the router is ready while it is not draining and at least
@@ -630,7 +500,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	switch {
-	case !rt.ready.Load():
+	case !rt.edge.Ready():
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
 	case rt.ring.Live() == 0:

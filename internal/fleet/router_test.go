@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -578,16 +579,16 @@ func TestPeerFillerRejectsOversized(t *testing.T) {
 	}
 }
 
-// TestRouterStatusWriterFlush: the instrument middleware must forward
-// Flush so a streamed passthrough is not buffered behind it (the worker
-// server had the same fix in PR 7).
+// TestRouterStatusWriterFlush: the shared instrument middleware, mounted
+// on the router's mux, must forward Flush so a streamed passthrough is not
+// buffered behind it.
 func TestRouterStatusWriterFlush(t *testing.T) {
 	rt, err := NewRouter(RouterConfig{Workers: []string{"http://unused:1"}, ProbeEvery: time.Hour, Log: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
 	flushed := false
-	h := rt.instrument("test", func(w http.ResponseWriter, r *http.Request) {
+	rt.mux.HandleFunc("GET /test", server.Instrument(io.Discard, "test", func(w http.ResponseWriter, r *http.Request) {
 		f, ok := w.(http.Flusher)
 		if !ok {
 			t.Fatal("instrumented ResponseWriter does not implement http.Flusher")
@@ -595,14 +596,42 @@ func TestRouterStatusWriterFlush(t *testing.T) {
 		w.Write([]byte("frame 1\n"))
 		f.Flush()
 		flushed = true
-	})
+	}))
 	rec := httptest.NewRecorder()
-	h(rec, httptest.NewRequest(http.MethodGet, "/test", nil))
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/test", nil))
 	if !flushed {
 		t.Fatal("handler never reached Flush")
 	}
 	if !rec.Flushed {
 		t.Fatal("Flush did not propagate to the underlying writer")
+	}
+}
+
+// TestRouterWorkerErrorIdentity: a malformed POST /v1/estimate gets the
+// same status and byte-identical error body whether it reaches a worker
+// directly or dies at the router's edge.
+func TestRouterWorkerErrorIdentity(t *testing.T) {
+	workers, _, rts := newTestFleet(t, 1, RouterConfig{})
+	oversize := `{"counts":[` + strings.Repeat("0,", 2<<20) + `0]}`
+	for _, tc := range []struct{ name, body string }{
+		{"garbage", `{]`},
+		{"unknown field", `{"counts":[0,1,2,3],"bogus":1}`},
+		{"trailing data", `{"counts":[0,1,2,3]} x`},
+		{"trailing close", `{"counts":[0,1,2,3]}]`},
+		{"over 4 MiB", oversize},
+		{"invalid table", `{"counts":[5,1,2,3]}`},
+	} {
+		wresp, wbody := post(t, workers[0].ts.URL, tc.body)
+		rresp, rbody := post(t, rts.URL, tc.body)
+		if wresp.StatusCode != http.StatusBadRequest || rresp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: worker %d, router %d, want 400 from both", tc.name, wresp.StatusCode, rresp.StatusCode)
+		}
+		if !bytes.Equal(wbody, rbody) {
+			t.Errorf("%s: error bodies differ\nworker: %s\nrouter: %s", tc.name, wbody, rbody)
+		}
+	}
+	if n := totalComputes(workers); n != 0 {
+		t.Fatalf("malformed requests reached the engine (%d computes)", n)
 	}
 }
 

@@ -1,6 +1,10 @@
 // Package server is the HTTP layer of the ghostsd daemon: routing,
 // request validation, the JSON error envelope, per-route telemetry and
-// graceful shutdown. It exposes the synchronous estimation API
+// graceful shutdown. Those edge pieces — Instrument, WriteError and
+// WriteJSON, DecodeJSON, Healthz and the Edge listen/drain loop — are
+// exported because they are the one HTTP edge of both ghostsd fronts: the
+// fleet router (internal/fleet) serves through them too, so clients see
+// the same error bytes, telemetry and shutdown from either. It exposes the synchronous estimation API
 // (POST /v1/estimate, GET /v1/experiments), the async job API
 // (POST /v1/jobs, GET /v1/jobs/{id}), the streaming tick stream
 // (GET /v1/watch — server-sent events off an ingest.Pipeline; 404 when no

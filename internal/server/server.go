@@ -8,11 +8,8 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"sync/atomic"
 	"time"
 
 	"ghosts/internal/experiments"
@@ -21,10 +18,6 @@ import (
 	"ghosts/internal/serve"
 	"ghosts/internal/telemetry"
 )
-
-// maxBodyBytes caps request bodies: a 16-source capture-history table is
-// 65536 cells, comfortably under 4 MiB of JSON.
-const maxBodyBytes = 4 << 20
 
 // statusClientClosedRequest is nginx's 499: the client went away before
 // the response was ready. There is no standard code for it; 499 is the
@@ -70,15 +63,12 @@ type Config struct {
 // owns readiness and graceful shutdown.
 type Server struct {
 	mux            *http.ServeMux
+	edge           *Edge
 	front          *serve.Front
 	jobs           *serve.Jobs
 	watch          *ingest.Pipeline
 	preDrain       func(ctx context.Context)
-	ready          atomic.Bool
-	addr           atomic.Value // string; set once Run is listening
-	drainTimeout   time.Duration
 	computeTimeout time.Duration
-	log            io.Writer
 	start          time.Time
 }
 
@@ -89,37 +79,30 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		mux:            http.NewServeMux(),
+		edge:           NewEdge("", cfg.Log, cfg.DrainTimeout),
 		front:          cfg.Front,
 		watch:          cfg.Watch,
 		preDrain:       cfg.PreDrain,
-		drainTimeout:   cfg.DrainTimeout,
 		computeTimeout: cfg.ComputeTimeout,
-		log:            cfg.Log,
 		start:          time.Now(),
-	}
-	if s.drainTimeout <= 0 {
-		s.drainTimeout = 30 * time.Second
-	}
-	if s.log == nil {
-		s.log = os.Stderr
 	}
 	runJob := cfg.RunJob
 	if runJob == nil {
 		runJob = s.runExperimentJob
 	}
 	s.jobs = serve.NewJobs(cfg.MaxJobs, runJob)
-	s.ready.Store(true)
 
-	s.mux.HandleFunc("POST /v1/estimate", s.instrument("estimate", s.handleEstimate))
-	s.mux.HandleFunc("GET /v1/experiments", s.instrument("experiments", s.handleExperiments))
-	s.mux.HandleFunc("POST /v1/jobs", s.instrument("jobs.submit", s.handleJobSubmit))
-	s.mux.HandleFunc("GET /v1/jobs", s.instrument("jobs.list", s.handleJobList))
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs.get", s.handleJobGet))
-	s.mux.HandleFunc("GET /v1/watch", s.instrument("watch", s.handleWatch))
-	s.mux.HandleFunc("GET /v1/cache/{key}", s.instrument("cache.get", s.handleCacheGet))
-	s.mux.HandleFunc("GET /v1/loadz", s.instrument("loadz", s.handleLoadz))
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /readyz", s.instrument("readyz", s.handleReadyz))
+	log := s.edge.log
+	s.mux.HandleFunc("POST /v1/estimate", Instrument(log, "estimate", s.handleEstimate))
+	s.mux.HandleFunc("GET /v1/experiments", Instrument(log, "experiments", s.handleExperiments))
+	s.mux.HandleFunc("POST /v1/jobs", Instrument(log, "jobs.submit", s.handleJobSubmit))
+	s.mux.HandleFunc("GET /v1/jobs", Instrument(log, "jobs.list", s.handleJobList))
+	s.mux.HandleFunc("GET /v1/jobs/{id}", Instrument(log, "jobs.get", s.handleJobGet))
+	s.mux.HandleFunc("GET /v1/watch", Instrument(log, "watch", s.handleWatch))
+	s.mux.HandleFunc("GET /v1/cache/{key}", Instrument(log, "cache.get", s.handleCacheGet))
+	s.mux.HandleFunc("GET /v1/loadz", Instrument(log, "loadz", s.handleLoadz))
+	s.mux.HandleFunc("GET /healthz", Instrument(log, "healthz", Healthz))
+	s.mux.HandleFunc("GET /readyz", Instrument(log, "readyz", s.handleReadyz))
 
 	// The existing debug surface, folded into the same mux.
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
@@ -150,58 +133,32 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Addr returns the bound listen address once Run is serving ("" before).
 // With "-addr :0" this is how callers learn the picked port.
-func (s *Server) Addr() string {
-	if v := s.addr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
-}
+func (s *Server) Addr() string { return s.edge.Addr() }
 
 // Jobs exposes the job store (for tests and the CLI's drain path).
 func (s *Server) Jobs() *serve.Jobs { return s.jobs }
 
 // SetReady flips the /readyz probe; Run clears it when shutdown begins so
 // load balancers stop routing before the listener closes.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
+func (s *Server) SetReady(ready bool) { s.edge.SetReady(ready) }
 
 // Run serves on addr until ctx is cancelled, then shuts down gracefully:
-// readiness goes false, in-flight HTTP requests get DrainTimeout to
-// finish, pending jobs are cancelled and running jobs are drained to
-// completion. A clean shutdown returns nil.
+// readiness goes false, pending jobs are cancelled, PreDrain runs,
+// in-flight HTTP requests get DrainTimeout to finish, and running jobs
+// are drained to completion before Run returns. A clean shutdown returns
+// nil.
 func (s *Server) Run(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.addr.Store(ln.Addr().String())
-	hs := &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		BaseContext:       func(net.Listener) context.Context { return ctx },
-	}
-	fmt.Fprintf(s.log, "ghostsd: listening on http://%s\n", ln.Addr())
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintf(s.log, "ghostsd: shutting down (draining for up to %v)\n", s.drainTimeout)
-	s.ready.Store(false)
-	// Pending jobs are canceled the moment shutdown starts, so nothing new
-	// can claim a compute slot; in-flight HTTP requests and already-running
-	// jobs then drain to completion.
-	s.jobs.BeginShutdown()
-	shutCtx, cancel := context.WithTimeout(context.Background(), s.drainTimeout)
-	defer cancel()
-	if s.preDrain != nil {
-		s.preDrain(shutCtx)
-	}
-	shutErr := hs.Shutdown(shutCtx)
+	err := s.edge.Serve(ctx, addr, s.mux, "", func(ctx context.Context) {
+		// Pending jobs are canceled the moment shutdown starts, so nothing
+		// new can claim a compute slot; in-flight HTTP requests and
+		// already-running jobs then drain to completion.
+		s.jobs.BeginShutdown()
+		if s.preDrain != nil {
+			s.preDrain(ctx)
+		}
+	})
 	s.jobs.Drain()
-	fmt.Fprintf(s.log, "ghostsd: shutdown complete\n")
-	return shutErr
+	return err
 }
 
 // runExperimentJob is the default job executor: build a fresh environment
@@ -232,98 +189,6 @@ func (s *Server) runExperimentJob(ctx context.Context, spec serve.JobSpec) (serv
 	return serve.JobResult{Output: buf.String(), Data: data}, nil
 }
 
-// instrument wraps a handler with the request counter, latency histogram,
-// per-route phase emission — and the outermost panic barrier: a panic that
-// escapes a handler (or the response encoder) is recovered, counted, and
-// converted into a 500 error envelope when the response has not started,
-// so one bad request cannot take the process down.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		defer func() {
-			if rv := recover(); rv != nil {
-				telemetry.Active().PanicRecovered()
-				fmt.Fprintf(s.log, "ghostsd: panic in %s handler: %v\n", route, rv)
-				sw.status = http.StatusInternalServerError
-				if !sw.wrote {
-					s.writeError(sw, http.StatusInternalServerError, "internal_panic",
-						"internal error (recovered panic): %v", rv)
-				}
-			}
-			telemetry.Active().HTTPDone(route, time.Since(t0), sw.status >= 400)
-		}()
-		h(sw, r)
-	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool // response started; headers can no longer change
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the wrapped writer so streaming handlers (/v1/watch
-// SSE) can push frames through the instrument layer.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// errorEnvelope is the uniform error body.
-type errorEnvelope struct {
-	API   string    `json:"api"`
-	Kind  string    `json:"kind"` // always "error"
-	Error errorBody `json:"error"`
-}
-
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	s.writeJSON(w, status, errorEnvelope{
-		API:   serve.APIVersion,
-		Kind:  "error",
-		Error: errorBody{Code: code, Message: fmt.Sprintf(format, args...)},
-	})
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// decodeJSON strictly decodes the request body into v: unknown fields and
-// trailing garbage are validation errors, surfaced as 400s by callers.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("unexpected data after JSON body")
-	}
-	return nil
-}
-
 // handleEstimate is POST /v1/estimate: validate, then serve through the
 // cache / single-flight / admission front-end. The response bytes come
 // back pre-encoded so every production path emits identical bytes; the
@@ -335,8 +200,7 @@ func decodeJSON(r *http.Request, v any) error {
 // recovered compute panic is 500 — each with its own telemetry counter.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req serve.EstimateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_json", "decoding request: %v", err)
+	if _, ok := DecodeJSON(w, r, &req); !ok {
 		return
 	}
 	ctx := r.Context()
@@ -351,24 +215,24 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		var panicErr *serve.PanicError
 		switch {
 		case errors.As(err, &reqErr):
-			s.writeError(w, http.StatusBadRequest, "invalid_request", "%s", reqErr.Error())
+			WriteError(w, http.StatusBadRequest, "invalid_request", "%s", reqErr.Error())
 		case errors.As(err, &panicErr):
-			s.writeError(w, http.StatusInternalServerError, "internal_panic",
+			WriteError(w, http.StatusInternalServerError, "internal_panic",
 				"estimation aborted: %v", panicErr)
 		case errors.Is(err, serve.ErrSaturated):
 			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable, "saturated", "admission queue full, retry later")
+			WriteError(w, http.StatusServiceUnavailable, "saturated", "admission queue full, retry later")
 		case errors.Is(err, context.DeadlineExceeded):
 			telemetry.Active().RequestTimedOut()
-			s.writeError(w, http.StatusGatewayTimeout, "compute_timeout",
+			WriteError(w, http.StatusGatewayTimeout, "compute_timeout",
 				"estimate exceeded the compute deadline (%v)", s.computeTimeout)
 		case errors.Is(err, context.Canceled):
 			telemetry.Active().RequestCanceled()
 			// Best-effort: the client is usually gone; the envelope is for
 			// proxies and logs.
-			s.writeError(w, statusClientClosedRequest, "client_closed_request", "request canceled: %v", err)
+			WriteError(w, statusClientClosedRequest, "client_closed_request", "request canceled: %v", err)
 		default:
-			s.writeError(w, http.StatusUnprocessableEntity, "estimation_failed", "%v", err)
+			WriteError(w, http.StatusUnprocessableEntity, "estimation_failed", "%v", err)
 		}
 		return
 	}
@@ -402,19 +266,18 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	for _, ex := range experiments.Catalogue() {
 		env.Experiments = append(env.Experiments, experimentRef{ID: ex.ID, Title: ex.Title})
 	}
-	s.writeJSON(w, http.StatusOK, env)
+	WriteJSON(w, http.StatusOK, env)
 }
 
 // handleJobSubmit is POST /v1/jobs: validate the spec against the
 // catalogue and scale vocabulary, then enqueue.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec serve.JobSpec
-	if err := decodeJSON(r, &spec); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_json", "decoding request: %v", err)
+	if _, ok := DecodeJSON(w, r, &spec); !ok {
 		return
 	}
 	if _, ok := experiments.Lookup(spec.Experiment); !ok {
-		s.writeError(w, http.StatusBadRequest, "invalid_request",
+		WriteError(w, http.StatusBadRequest, "invalid_request",
 			"unknown experiment %q (see GET /v1/experiments)", spec.Experiment)
 		return
 	}
@@ -422,17 +285,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		spec.Scale = "tiny"
 	}
 	if _, ok := experiments.EnvConfig(spec.Scale, spec.Seed); !ok {
-		s.writeError(w, http.StatusBadRequest, "invalid_request",
+		WriteError(w, http.StatusBadRequest, "invalid_request",
 			"unknown scale %q (tiny, small, medium)", spec.Scale)
 		return
 	}
 	job, err := s.jobs.Submit(spec)
 	if err != nil {
-		s.writeError(w, http.StatusTooManyRequests, "jobs_full", "%v", err)
+		WriteError(w, http.StatusTooManyRequests, "jobs_full", "%v", err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	s.writeJSON(w, http.StatusAccepted, job)
+	WriteJSON(w, http.StatusAccepted, job)
 }
 
 // handleJobGet is GET /v1/jobs/{id}.
@@ -440,10 +303,10 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := s.jobs.Get(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "not_found", "no job %q", id)
+		WriteError(w, http.StatusNotFound, "not_found", "no job %q", id)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, job)
+	WriteJSON(w, http.StatusOK, job)
 }
 
 // jobsEnvelope is the body of GET /v1/jobs.
@@ -455,7 +318,7 @@ type jobsEnvelope struct {
 
 // handleJobList is GET /v1/jobs: every stored job, submission order.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, jobsEnvelope{API: serve.APIVersion, Kind: "jobs", Jobs: s.jobs.List()})
+	WriteJSON(w, http.StatusOK, jobsEnvelope{API: serve.APIVersion, Kind: "jobs", Jobs: s.jobs.List()})
 }
 
 // handleCacheGet is GET /v1/cache/{key}: the fleet-internal peer-fill
@@ -482,13 +345,13 @@ func validKey(key string) bool {
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validKey(key) {
-		s.writeError(w, http.StatusBadRequest, "invalid_request",
+		WriteError(w, http.StatusBadRequest, "invalid_request",
 			"key must be a 64-hex-character canonical request key")
 		return
 	}
 	body, ok := s.front.Cached(key)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "not_cached", "no stored response for key %s", key)
+		WriteError(w, http.StatusNotFound, "not_cached", "no stored response for key %s", key)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -509,24 +372,18 @@ type loadEnvelope struct {
 // compute-slot and admission-queue occupancy plus cache fill — for the
 // fleet router's shed/hedge decisions and the loadgen report.
 func (s *Server) handleLoadz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, loadEnvelope{
+	WriteJSON(w, http.StatusOK, loadEnvelope{
 		API:   serve.APIVersion,
 		Kind:  "load",
-		Ready: s.ready.Load(),
+		Ready: s.edge.Ready(),
 		Load:  s.front.Load(),
 	})
-}
-
-// handleHealthz reports liveness: the process is up.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }
 
 // handleReadyz reports readiness: 503 once shutdown has begun.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !s.ready.Load() {
+	if !s.edge.Ready() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
 		return

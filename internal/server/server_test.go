@@ -617,16 +617,14 @@ func TestEstimateClientCancel499(t *testing.T) {
 }
 
 // TestInstrumentPanicBarrier exercises the outermost containment layer
-// directly: a panic escaping any handler is recovered by instrument, turned
+// directly: a panic escaping any handler is recovered by Instrument, turned
 // into a 500 envelope when the response has not started, and counted.
 func TestInstrumentPanicBarrier(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	telemetry.Enable(rec)
 	defer telemetry.Disable()
 
-	s := New(Config{Log: io.Discard})
-	t.Cleanup(func() { s.jobs.BeginShutdown(); s.jobs.Drain() })
-	h := s.instrument("boom", func(w http.ResponseWriter, r *http.Request) {
+	h := Instrument(io.Discard, "boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("injected: handler panic")
 	})
 	rr := httptest.NewRecorder()
@@ -644,7 +642,7 @@ func TestInstrumentPanicBarrier(t *testing.T) {
 	// When the response already started, the barrier must not try to write
 	// a second status line — it only records and counts.
 	rr2 := httptest.NewRecorder()
-	h2 := s.instrument("late", func(w http.ResponseWriter, r *http.Request) {
+	h2 := Instrument(io.Discard, "late", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("partial"))
 		panic("injected: after first byte")

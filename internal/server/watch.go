@@ -32,13 +32,13 @@ import (
 // already tolerate because slow consumers shed ticks.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if s.watch == nil {
-		s.writeError(w, http.StatusNotFound, "watch_disabled",
+		WriteError(w, http.StatusNotFound, "watch_disabled",
 			"no streaming pipeline configured (start ghostsd with a live feed)")
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		s.writeError(w, http.StatusInternalServerError, "sse_unsupported",
+		WriteError(w, http.StatusInternalServerError, "sse_unsupported",
 			"response writer cannot stream")
 		return
 	}

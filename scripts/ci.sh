@@ -25,6 +25,21 @@ fi
 echo "== go test -race =="
 go test -race ./...
 
+echo "== bounded fuzzing =="
+# The test run above replays only each fuzz target's seed corpus; here
+# every target also mutates inputs for a bounded time. go test -fuzz takes
+# one target per call, so the targets run one after another.
+for target in \
+    ./internal/netflow:FuzzUnmarshal \
+    ./internal/wire:FuzzUnmarshal \
+    ./internal/pcap:FuzzReader \
+    ./internal/ipv4:FuzzParsePrefix \
+    ./internal/ipv4:FuzzParseAddr \
+    ./internal/registry:FuzzReadDelegation \
+    ./internal/fleet:FuzzDecodeJoinBody; do
+    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s "${target%%:*}"
+done
+
 echo "== lattice/dense differential (-race) =="
 # The lattice IRLS kernel must agree with the dense reference kernel (the
 # oracle in the stats tests) to tolerance on every design shape (DESIGN.md
