@@ -126,12 +126,14 @@ type FitResult struct {
 // fitScratch bundles the per-goroutine buffers of one model fit: the GLM
 // workspace plus the response, truncation and column-mask vectors. Pooled
 // so the stepwise search and the experiment fan-outs stop allocating them
-// per fit.
+// per fit. The stepwise search also keeps its round's shared start state
+// (start) in a scratch it checks out for the whole selection.
 type fitScratch struct {
 	ws     stats.Workspace
 	y      []float64
 	limits []float64
 	masks  []int
+	start  stats.LatticeStart
 }
 
 var fitPool = sync.Pool{New: func() any {
@@ -139,26 +141,34 @@ var fitPool = sync.Pool{New: func() any {
 	return new(fitScratch)
 }}
 
+// getScratch checks a scratch out of fitPool; hand it back with
+// fitPool.Put.
+func getScratch() *fitScratch {
+	telemetry.Active().PoolGet()
+	return fitPool.Get().(*fitScratch)
+}
+
 // FitModel fits model m to the table by maximum likelihood. A finite limit
 // right-truncates every cell's Poisson distribution at limit (§3.3.1: the
 // size of the publicly routed space); pass math.Inf(1) for plain Poisson.
 // scale divides all counts before fitting (the divisor heuristic, §3.3.2);
 // use 1 for estimation.
 func FitModel(tb *Table, m Model, limit float64, scale float64) (*FitResult, error) {
-	return fitModelInit(tb, m, limit, scale, nil)
+	return fitModelInit(tb, m, limit, scale, nil, nil)
 }
 
 // fitModelInit is FitModel with warm-start coefficients in design order;
 // the stepwise search passes the parent model's coefficients with a zero
-// inserted for the new term. Fits run on the lattice (zeta transform)
-// kernel: the CR design is always a subset indicator over the
-// capture-history lattice. A shape the kernel rejects (more columns than
-// observable cells, as for a one-source table) is returned as its error.
-func fitModelInit(tb *Table, m Model, limit float64, scale float64, init []float64) (*FitResult, error) {
-	telemetry.Active().PoolGet()
-	sc := fitPool.Get().(*fitScratch)
+// inserted for the new term, and with them the round's shared start state
+// (stats.LatticeStart; nil computes it in the fit). Fits run on the
+// lattice (zeta transform) kernel: the CR design is always a subset
+// indicator over the capture-history lattice. A shape the kernel rejects
+// (more columns than observable cells, as for a one-source table) is
+// returned as its error.
+func fitModelInit(tb *Table, m Model, limit float64, scale float64, init []float64, start *stats.LatticeStart) (*FitResult, error) {
+	sc := getScratch()
 	defer fitPool.Put(sc)
-	return fitModelScratch(tb, m, limit, scale, init, sc)
+	return fitModelScratch(tb, m, limit, scale, init, start, sc)
 }
 
 // fitModelScratch is fitModelInit against a caller-owned scratch: the
@@ -166,22 +176,33 @@ func fitModelInit(tb *Table, m Model, limit float64, scale float64, init []float
 // replicate that worker claims through the same lattice workspace, instead
 // of cycling the shared pool per replicate. The scratch is fully
 // overwritten on every call, so reuse cannot change any fit's numbers.
-func fitModelScratch(tb *Table, m Model, limit float64, scale float64, init []float64, sc *fitScratch) (*FitResult, error) {
+func fitModelScratch(tb *Table, m Model, limit float64, scale float64, init []float64, start *stats.LatticeStart, sc *fitScratch) (*FitResult, error) {
 	if scale < 1 {
 		scale = 1
 	}
 	sc.masks = m.appendColumnMasks(sc.masks)
 	ld := stats.Lattice{T: m.T, Masks: sc.masks}
-	n := 1 << uint(m.T)
+	y, limits := sc.load(tb, m.T, limit, scale)
+	res, err := ld.Fit(y, limits, init, start, &sc.ws)
+	if err != nil {
+		return nil, err
+	}
+	return fitResultFrom(tb, m, res, scale), nil
+}
+
+// load fills the scratch's response vector with the t-source table's
+// counts divided by scale and, for a finite limit, its truncation vector
+// with ⌊limit/scale⌋, and returns both (limits nil for plain Poisson).
+func (sc *fitScratch) load(tb *Table, t int, limit, scale float64) (y, limits []float64) {
+	n := 1 << uint(t)
 	if cap(sc.y) < n {
 		sc.y = make([]float64, n)
 	}
-	y := sc.y[:n]
+	y = sc.y[:n]
 	y[0] = 0
 	for s := 1; s < n; s++ {
 		y[s] = float64(tb.Counts[s]) / scale
 	}
-	var limits []float64
 	if !math.IsInf(limit, 1) {
 		if cap(sc.limits) < n {
 			sc.limits = make([]float64, n)
@@ -192,11 +213,7 @@ func fitModelScratch(tb *Table, m Model, limit float64, scale float64, init []fl
 			limits[i] = l
 		}
 	}
-	res, err := ld.Fit(y, limits, init, &sc.ws)
-	if err != nil {
-		return nil, err
-	}
-	return fitResultFrom(tb, m, res, scale), nil
+	return y, limits
 }
 
 // fitResultFrom wraps a kernel result into a FitResult.

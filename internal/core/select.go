@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"ghosts/internal/parallel"
+	"ghosts/internal/stats"
 	"ghosts/internal/telemetry"
 )
 
@@ -120,11 +121,22 @@ func SelectModelCtx(ctx context.Context, tb *Table, opt SelectionOptions) (Model
 	defer rec.SelectionDone()
 	d := opt.Divisor.divisor(tb)
 	cur := IndependenceModel(t)
-	curFit, err := fitModelInit(tb, cur, opt.Limit, d, nil)
+	curFit, err := fitModelInit(tb, cur, opt.Limit, d, nil, nil)
 	if err != nil {
 		return cur, 0, err
 	}
 	curIC := icOf(tb, cur, curFit, opt, d)
+	// One scratch holds the selection's prologue: the divisor-scaled
+	// response and truncation vectors, Σ ln y_s! (which depends on nothing
+	// else, so it is summed once per selection), and each round's start
+	// state at the parent's coefficients. Every candidate's warm start is
+	// those coefficients plus a zero on the candidate's fresh mask, which
+	// scatters to the parent's η bit for bit, so the candidates read the
+	// start instead of each recomputing it (stats.LatticeStart).
+	pro := getScratch()
+	defer fitPool.Put(pro)
+	y, limits := pro.load(tb, t, opt.Limit, d)
+	pro.start.LogFactSum = stats.Lattice{T: t}.LogFactorialSum(y)
 	var cands []int
 	var fits []*FitResult
 	var ics []float64
@@ -157,11 +169,16 @@ func SelectModelCtx(ctx context.Context, tb *Table, opt SelectionOptions) (Model
 		fits = fits[:len(cands)]
 		ics = ics[:len(cands)]
 		warm := curFit.Coef
+		pro.masks = cur.appendColumnMasks(pro.masks)
+		parent := stats.Lattice{T: t, Masks: pro.masks}
+		if err := parent.Prologue(y, limits, warm, &pro.start, &pro.ws); err != nil {
+			return Model{}, 0, err
+		}
 		if err := parallel.ForEachCtx(ctx, len(cands), func(i int) {
 			fits[i] = nil
 			h := cands[i]
 			cand := cur.With(h)
-			fit, err := fitModelInit(tb, cand, opt.Limit, d, warmStart(cur, cand, h, warm))
+			fit, err := fitModelInit(tb, cand, opt.Limit, d, warmStart(cur, cand, h, warm), &pro.start)
 			if err != nil {
 				return // singular candidate: skip
 			}

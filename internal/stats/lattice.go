@@ -61,20 +61,42 @@ func (ld Lattice) Validate() error {
 }
 
 // SubsetSum replaces v (length 2^t, indexed by cell mask) with its subset
-// zeta transform: out[s] = Σ_{m ⊆ s} v[m], in O(t·2^t). The bit-plane
-// passes walk aligned blocks pairwise (lo half into hi half), which visits
-// the updated cells in the same ascending order as the naive masked loop —
-// the additions are bit-identical — without a branch per cell.
+// zeta transform: out[s] = Σ_{m ⊆ s} v[m], in O(t·2^t). Bit-planes 0–2
+// only mix cells inside an aligned 8-cell block, so they run fused, one
+// register-resident pass per block; the higher planes walk aligned blocks
+// pairwise (lo half into hi half). Either way every cell receives the same
+// additions in the same order as the naive masked loop — the results are
+// bit-identical — without a branch per cell.
 func SubsetSum(t int, v []float64) {
 	n := 1 << uint(t)
 	v = v[:n]
-	for i := 0; i < t; i++ {
-		bit := 1 << uint(i)
-		for base := 0; base < n; base += bit << 1 {
-			lo := v[base : base+bit : base+bit]
-			hi := v[base+bit : base+bit<<1]
-			for k := range hi {
-				hi[k] += lo[k]
+	plane := 0
+	if t >= 3 {
+		for b := v; len(b) >= 8; b = b[8:] {
+			b0, b1, b2, b3, b4, b5, b6, b7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+			b1 += b0 // plane 0
+			b3 += b2
+			b5 += b4
+			b7 += b6
+			b2 += b0 // plane 1
+			b3 += b1
+			b6 += b4
+			b7 += b5
+			b4 += b0 // plane 2
+			b5 += b1
+			b6 += b2
+			b7 += b3
+			b[1], b[2], b[3], b[4], b[5], b[6], b[7] = b1, b2, b3, b4, b5, b6, b7
+		}
+		plane = 3
+	}
+	for ; plane < t; plane++ {
+		bit := 1 << uint(plane)
+		for b := v; len(b) >= bit<<1; b = b[bit<<1:] {
+			lo, hi := b[:bit:bit], b[bit:bit<<1]
+			hi = hi[:len(lo)]
+			for k, x := range lo {
+				hi[k] += x
 			}
 		}
 	}
@@ -82,18 +104,38 @@ func SubsetSum(t int, v []float64) {
 
 // SupersetSum replaces v (length 2^t, indexed by cell mask) with its
 // superset zeta transform: out[s] = Σ_{m ⊇ s} v[m], in O(t·2^t). Same
-// blocked, branch-free walk as SubsetSum (hi half into lo half), preserving
-// the naive loop's update order exactly.
+// fused low planes and blocked higher planes as SubsetSum (hi half into lo
+// half), preserving the naive loop's update order exactly.
 func SupersetSum(t int, v []float64) {
 	n := 1 << uint(t)
 	v = v[:n]
-	for i := 0; i < t; i++ {
-		bit := 1 << uint(i)
-		for base := 0; base < n; base += bit << 1 {
-			lo := v[base : base+bit : base+bit]
-			hi := v[base+bit : base+bit<<1]
-			for k := range lo {
-				lo[k] += hi[k]
+	plane := 0
+	if t >= 3 {
+		for b := v; len(b) >= 8; b = b[8:] {
+			b0, b1, b2, b3, b4, b5, b6, b7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+			b0 += b1 // plane 0
+			b2 += b3
+			b4 += b5
+			b6 += b7
+			b0 += b2 // plane 1
+			b1 += b3
+			b4 += b6
+			b5 += b7
+			b0 += b4 // plane 2
+			b1 += b5
+			b2 += b6
+			b3 += b7
+			b[0], b[1], b[2], b[3], b[4], b[5], b[6] = b0, b1, b2, b3, b4, b5, b6
+		}
+		plane = 3
+	}
+	for ; plane < t; plane++ {
+		bit := 1 << uint(plane)
+		for b := v; len(b) >= bit<<1; b = b[bit<<1:] {
+			lo, hi := b[:bit:bit], b[bit:bit<<1]
+			hi = hi[:len(lo)]
+			for k, x := range hi {
+				lo[k] += x
 			}
 		}
 	}
@@ -112,25 +154,97 @@ func LatticeEta(t int, masks []int, coef []float64, eta []float64) {
 	SubsetSum(t, eta)
 }
 
+// LatticeStart is the state a lattice fit derives from its starting
+// coefficients before the first Fisher step: η, the log-likelihood and the
+// superset-summed weights and residuals of the first iteration. All of it
+// depends on the coefficients only through η, so fits whose starts scatter
+// to the same η share it bit for bit — the stepwise search's candidates,
+// which extend the parent's coefficients with a zero on a mask no other
+// column uses (adding +0 to a cell that is already +0 changes no float).
+// Prologue fills it once and Fit only reads it, so concurrent fits may
+// share one. The zero value is ready; buffers grow on demand and are
+// retained.
+type LatticeStart struct {
+	// LogFactSum is Σ ln y_s! over the active cells (LogFactorialSum). It
+	// depends only on the response, so callers set it once per y.
+	LogFactSum float64
+
+	logLik      float64
+	eta, zw, zr []float64 // per lattice cell, 2^T long
+}
+
+// check validates the lattice and the response and limit vectors.
+func (ld Lattice) check(y, limits []float64) error {
+	if err := ld.Validate(); err != nil {
+		return err
+	}
+	n := 1 << uint(ld.T)
+	if len(y) != n || (limits != nil && len(limits) != n) {
+		return errors.New("stats: lattice dimension mismatch")
+	}
+	return nil
+}
+
+// LogFactorialSum returns Σ ln y_s! over ld's active cells (1..2^T−1, or
+// every cell with Cell0): the constant term of the log-likelihood.
+func (ld Lattice) LogFactorialSum(y []float64) float64 {
+	first := 1
+	if ld.Cell0 {
+		first = 0
+	}
+	var sum float64
+	for s := first; s < 1<<uint(ld.T); s++ {
+		sum += LogFactorial(y[s])
+	}
+	return sum
+}
+
+// Prologue fills st with the start state of a fit of ld from coef (in
+// column order), evaluating the log-likelihood against st.LogFactSum and
+// using ws (required) as scratch. A later Fit of the same y and limits, on
+// a lattice with the same T and Cell0, may pass st as its start when its
+// init coefficients scatter to the same η as coef.
+func (ld Lattice) Prologue(y, limits, coef []float64, st *LatticeStart, ws *Workspace) error {
+	if err := ld.check(y, limits); err != nil {
+		return err
+	}
+	n := 1 << uint(ld.T)
+	p := len(ld.Masks)
+	if len(coef) != p {
+		return errors.New("stats: lattice start needs one coefficient per column")
+	}
+	ws.reserveLattice(n, p)
+	st.logLik = ld.logLik(y, limits, coef, st.LogFactSum, ws)
+	st.eta = grow(st.eta, n)
+	copy(st.eta, ws.etaCand[:n])
+	st.zw = grow(st.zw, n)
+	st.zr = grow(st.zr, n)
+	ld.scoreSums(y, limits, ws.lamCand[:n], ws.tnCand[:n], st.zw, st.zr)
+	return nil
+}
+
 // Fit runs the lattice-aware Fisher-scoring fit. y holds the per-cell
 // counts (length 2^T, indexed by capture-history mask; y[0] is ignored
 // unless Cell0), limits the optional per-cell right-truncation bounds (nil
 // for plain Poisson), init optional warm-start coefficients in column
-// order, and ws reusable scratch (nil for a one-off fit).
+// order, start the optional shared start state of init (see LatticeStart;
+// it requires init, and nil computes it here), and ws reusable scratch
+// (nil for a one-off fit). A start changes no number: the fit is bit for
+// bit the one without it.
 //
 // Fitted in the returned GLMResult is indexed by lattice cell (length 2^T;
 // entry 0 is the fitted unobserved-cell rate whether or not Cell0 is set).
 // The dense row-major kernel in the package tests is the oracle: its
 // summation order differs, so coefficients agree to tolerance (≤1e-9
 // relative, pinned by the differential tests), not bit-exactly.
-func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, error) {
-	if err := ld.Validate(); err != nil {
+func (ld Lattice) Fit(y, limits, init []float64, start *LatticeStart, ws *Workspace) (*GLMResult, error) {
+	if err := ld.check(y, limits); err != nil {
 		return nil, err
 	}
 	n := 1 << uint(ld.T)
 	p := len(ld.Masks)
-	if len(y) != n || (limits != nil && len(limits) != n) {
-		return nil, errors.New("stats: lattice dimension mismatch")
+	if start != nil && (len(init) != p || len(start.eta) != n) {
+		return nil, errors.New("stats: lattice start needs init coefficients of the same shape")
 	}
 	if ws == nil {
 		ws = &Workspace{}
@@ -159,59 +273,38 @@ func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, err
 		coef[0] = math.Log(meanY)
 	}
 
-	lim := func(s int) float64 {
-		if limits == nil {
-			return math.Inf(1)
-		}
-		return limits[s]
+	var logFactSum, ll float64
+	if start != nil {
+		// The shared start stands in for the logLik call below and for the
+		// first iteration's score sums. ws.lam and ws.tn stay stale: only
+		// those sums would read them before an accepted step swaps in the
+		// candidate's, and a fit that accepts no step reads only ws.eta.
+		logFactSum, ll = start.LogFactSum, start.logLik
+		copy(ws.eta[:n], start.eta)
+	} else {
+		logFactSum = ld.LogFactorialSum(y)
+		ll = ld.logLik(y, limits, coef, logFactSum, ws)
+		// logLik left η(coef), λ(coef) and the per-cell truncation flags in
+		// the candidate buffers; swap them in so every iteration reads the
+		// current values without recomputing the subset sum, the
+		// exponentials or the negligibility tests: the accepted candidate's
+		// buffers are swapped the same way below, keeping the invariant
+		// that ws.eta/ws.lam/ws.tn always describe the current coef.
+		ws.eta, ws.etaCand = ws.etaCand, ws.eta
+		ws.lam, ws.lamCand = ws.lamCand, ws.lam
+		ws.tn, ws.tnCand = ws.tnCand, ws.tn
 	}
-	var logFactSum float64
-	for s := first; s < n; s++ {
-		logFactSum += LogFactorial(y[s])
-	}
-	ll := ld.logLik(y, limits, coef, logFactSum, ws)
-	// logLik left η(coef), λ(coef) and the per-cell truncation flags in the
-	// candidate buffers; swap them in so every iteration reads the current
-	// values without recomputing the subset sum, the exponentials or the
-	// negligibility tests: the accepted candidate's buffers are swapped the
-	// same way below, keeping the invariant that ws.eta/ws.lam/ws.tn always
-	// describe the current coef.
-	ws.eta, ws.etaCand = ws.etaCand, ws.eta
-	ws.lam, ws.lamCand = ws.lamCand, ws.lam
-	ws.tn, ws.tnCand = ws.tnCand, ws.tn
 	var it int
 	converged := false
 	for it = 0; it < 200; it++ {
-		// Per-cell truncated mean and variance at the current η (λ and the
-		// truncation flags already in ws.lam/ws.tn), with the inactive cell
-		// 0 zero-weighted so the zeta sums skip it.
-		lam, tn := ws.lam[:n], ws.tn[:n]
 		zw, zr := ws.zw[:n], ws.zr[:n]
-		if !ld.Cell0 {
-			zw[0], zr[0] = 0, 0
+		if it == 0 && start != nil {
+			zw, zr = start.zw, start.zr
+		} else {
+			ld.scoreSums(y, limits, ws.lam[:n], ws.tn[:n], zw, zr)
 		}
-		for s := first; s < n; s++ {
-			lambda := lam[s]
-			var mu, w float64
-			if tn[s] {
-				// Untruncated (or negligibly truncated) cell: the moments
-				// degenerate to the plain Poisson's, exactly as Moments
-				// returns on its fast path.
-				mu, w = lambda, lambda
-			} else {
-				tp := TruncPoisson{Lambda: lambda, Limit: lim(s)}
-				mu, w, _ = tp.Moments()
-			}
-			if w < 1e-10 {
-				w = 1e-10
-			}
-			zw[s] = w
-			zr[s] = y[s] - mu
-		}
-		// Normal equations by zeta transform: one superset sum each for the
-		// weights and residuals, then an O(p²) gather.
-		SupersetSum(ld.T, zw)
-		SupersetSum(ld.T, zr)
+		// Normal equations from the superset-summed weights and residuals:
+		// an O(p²) gather.
 		xtwx := ws.xtwx[:p*p]
 		xtr := ws.xtr[:p]
 		for a := 0; a < p; a++ {
@@ -286,6 +379,39 @@ func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, err
 		Iterations: it + 1,
 		Converged:  converged,
 	}, nil
+}
+
+// scoreSums writes the per-cell truncated-Poisson weights and residuals
+// y − μ at rates lam (truncation flags tn) into zw and zr, zero-weighting
+// the inactive cell 0, and superset-sums both, so that entry m holds the
+// normal-equation sum over every cell that contains mask m.
+func (ld Lattice) scoreSums(y, limits, lam []float64, tn []bool, zw, zr []float64) {
+	first := 1
+	if ld.Cell0 {
+		first = 0
+	} else {
+		zw[0], zr[0] = 0, 0
+	}
+	for s := first; s < len(zw); s++ {
+		lambda := lam[s]
+		var mu, w float64
+		if tn[s] {
+			// Untruncated (or negligibly truncated) cell: the moments
+			// degenerate to the plain Poisson's, exactly as Moments returns
+			// on its fast path.
+			mu, w = lambda, lambda
+		} else {
+			tp := TruncPoisson{Lambda: lambda, Limit: limits[s]}
+			mu, w, _ = tp.Moments()
+		}
+		if w < 1e-10 {
+			w = 1e-10
+		}
+		zw[s] = w
+		zr[s] = y[s] - mu
+	}
+	SupersetSum(ld.T, zw)
+	SupersetSum(ld.T, zr)
 }
 
 // logLik evaluates the (possibly right-truncated) Poisson log-likelihood at

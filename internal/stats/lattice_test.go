@@ -202,6 +202,72 @@ func TestLatticeTransformsHand(t *testing.T) {
 	}
 }
 
+// naiveZeta is the reference the blocked zeta transforms must reproduce
+// bit for bit: one masked pass over every cell per bit-plane, in ascending
+// plane and cell order.
+func naiveZeta(t int, v []float64, superset bool) {
+	n := 1 << uint(t)
+	for i := 0; i < t; i++ {
+		bit := 1 << uint(i)
+		for s := 0; s < n; s++ {
+			switch {
+			case superset && s&bit == 0:
+				v[s] += v[s|bit]
+			case !superset && s&bit != 0:
+				v[s] += v[s^bit]
+			}
+		}
+	}
+}
+
+// TestLatticeZetaMatchesNaive pins SubsetSum and SupersetSum (fused low
+// bit-planes, blocked higher planes) to the naive masked loop with exact
+// float equality, on values of mixed sign spanning 1e-300..1e300 so that
+// any reordering of the additions would show up as a rounding difference.
+func TestLatticeZetaMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for tt := 1; tt <= 12; tt++ {
+		n := 1 << uint(tt)
+		for _, superset := range []bool{false, true} {
+			v := make([]float64, n)
+			for s := range v {
+				v[s] = (rng.Float64() + 0.5) * math.Pow(10, float64(rng.Intn(601)-300))
+				if rng.Intn(2) == 0 {
+					v[s] = -v[s]
+				}
+			}
+			want := append([]float64(nil), v...)
+			naiveZeta(tt, want, superset)
+			if superset {
+				SupersetSum(tt, v)
+			} else {
+				SubsetSum(tt, v)
+			}
+			for s := range v {
+				if math.Float64bits(v[s]) != math.Float64bits(want[s]) {
+					t.Fatalf("t=%d superset=%v cell %d: got %v, naive loop gives %v", tt, superset, s, v[s], want[s])
+				}
+			}
+		}
+	}
+}
+
+// benchmarkZeta times zeta in place on one vector. The vector is all
+// zeros so that it stays finite however many times it is transformed; a
+// float addition costs the same for any normal or zero operand.
+func benchmarkZeta(b *testing.B, zeta func(int, []float64)) {
+	const t = 9
+	v := make([]float64, 1<<t)
+	for i := 0; i < b.N; i++ {
+		zeta(t, v)
+	}
+}
+
+// BenchmarkSupersetSum9 and BenchmarkSubsetSum9 time one zeta transform at
+// t = 9 sources (512 cells), the size the paper's full model runs at.
+func BenchmarkSupersetSum9(b *testing.B) { benchmarkZeta(b, SupersetSum) }
+func BenchmarkSubsetSum9(b *testing.B)   { benchmarkZeta(b, SubsetSum) }
+
 // TestLatticeHandT2 pins a hand-solved t=2 fit. The design {0, 01, 10} is
 // saturated on the three observed cells, so the MLE reproduces the counts
 // exactly: with y = (6, 3, 2) for cells 01, 10, 11, solving
@@ -211,7 +277,7 @@ func TestLatticeHandT2(t *testing.T) {
 	ld := Lattice{T: 2, Masks: []int{0, 1, 2}}
 	y := []float64{0, 6, 3, 2}
 	want := []float64{math.Log(9), math.Log(2.0 / 3), math.Log(1.0 / 3)}
-	res, err := ld.Fit(y, nil, nil, nil)
+	res, err := ld.Fit(y, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +404,7 @@ func TestLatticeFitMatchesDense(t *testing.T) {
 					init[j] = rng.NormFloat64() * 0.1
 				}
 			}
-			lat, err := ld.Fit(y, limits, init, ws)
+			lat, err := ld.Fit(y, limits, init, nil, ws)
 			if err != nil {
 				t.Fatalf("t=%d cell0=%v lattice fit: %v", tt, cell0, err)
 			}
@@ -438,7 +504,7 @@ func TestLatticeValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if _, err := (Lattice{T: 2, Masks: []int{0, 1}}).Fit([]float64{0, 1, 2}, nil, nil, nil); err == nil {
+	if _, err := (Lattice{T: 2, Masks: []int{0, 1}}).Fit([]float64{0, 1, 2}, nil, nil, nil, nil); err == nil {
 		t.Fatal("expected dimension mismatch error")
 	}
 }

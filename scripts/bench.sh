@@ -69,10 +69,13 @@ END { print "\n]" }
 
 echo "wrote $OUT"
 
-# Diff the two newest snapshots: flag every benchmark whose ns/op regressed
-# by more than 15%. Informational by default (a regression needs a justified
-# review, not a hidden one); set GHOSTS_BENCH_STRICT=1 to make it fatal.
-PREV="$(ls -t BENCH_*.json 2>/dev/null | grep -v -e '\.telemetry\.json$' -e '\.serve\.json$' | sed -n 2p || true)"
+# Diff against the previous core snapshot (picked by name, see
+# bench_baseline in scripts/lib.sh): flag every benchmark whose ns/op
+# regressed by more than 15%. Informational by default (a regression needs a
+# justified review, not a hidden one); set GHOSTS_BENCH_STRICT=1 to make it
+# fatal. A baseline that shares no benchmark name compares nothing, and
+# says so instead of reporting "no regressions".
+PREV="$(bench_baseline "$OUT")"
 if [ -n "$PREV" ]; then
     if ! awk -v prevfile="$PREV" -v curfile="$OUT" '
         function load(file, tgt,    line, name, ns) {
@@ -90,15 +93,18 @@ if [ -n "$PREV" ]; then
         BEGIN {
             load(prevfile, p); load(curfile, c)
             bad = 0
+            common = 0
             for (n in c) {
                 if (!(n in p) || p[n] <= 0) continue
+                common++
                 r = c[n] / p[n]
                 if (r > 1.15) {
                     printf("REGRESSION %s: %.0f -> %.0f ns/op (+%.1f%%)\n", n, p[n], c[n], 100 * (r - 1))
                     bad = 1
                 }
             }
-            if (!bad) print "no >15% ns/op regressions vs " prevfile
+            if (!common) print "WARNING: no benchmark in common with " prevfile "; nothing compared"
+            else if (!bad) print "no >15% ns/op regressions vs " prevfile
             exit bad
         }'; then
         if [ -n "${GHOSTS_BENCH_STRICT:-}" ]; then

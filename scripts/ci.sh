@@ -46,7 +46,21 @@ echo "== lattice/dense differential (-race) =="
 # §8): the differential property
 # tests are the licence for routing all engine fits through the lattice
 # path, so they run as their own named gate, race-enabled and uncached.
+# The pattern also takes in TestLatticeZetaMatchesNaive: the blocked zeta
+# transforms must equal the naive masked loop bit for bit.
 go test -race -count=1 -run 'TestLattice|TestMoments' ./internal/stats
+
+echo "== shared stepwise prologue (-race) =="
+# Every candidate fit of a stepwise round reads one shared start state
+# (the parent's η, log-likelihood and first score sums) instead of
+# recomputing it (DESIGN.md §8.1). The selected model, IC, coefficients,
+# fit count and IRLS iteration total must match the per-candidate
+# reference search bit for bit, at every worker count, and the
+# cancellable and parallel variants must stay bit-identical: a named gate,
+# race-enabled and uncached.
+go test -race -count=1 \
+    -run 'TestSelectSharedPrologue|TestSelectModelDeterministic|TestCtxVariantsBitIdentical' \
+    ./internal/core
 
 echo "== strata fold/Split differential (-race) =="
 # The labelled histogram fold must agree bit-for-bit with the dense

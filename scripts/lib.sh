@@ -12,3 +12,18 @@ wait_base() {
     done
     return 1
 }
+
+# bench_baseline [exclude]: print the newest core benchmark snapshot in
+# the current directory — BENCH_YYYY-MM-DD.json or BENCH_YYYY-MM-DD.N.json,
+# never a .telemetry/.serve/.stream/.fleet companion — other than exclude
+# (the file just written). Snapshots are ordered by the date in the name,
+# then by the same-day suffix (none, .2, .3, ...), never by mtime: a fresh
+# checkout gives every file the same mtime. Prints nothing if none exists.
+bench_baseline() {
+    local f re='^BENCH_([0-9]{4}-[0-9]{2}-[0-9]{2})(\.([0-9]+))?\.json$'
+    for f in BENCH_*.json; do
+        [ "$f" = "${1:-}" ] && continue
+        [[ "$f" =~ $re ]] || continue
+        printf '%s %s %s\n' "${BASH_REMATCH[1]}" "${BASH_REMATCH[3]:-1}" "$f"
+    done | sort -k1,1 -k2,2n | tail -n 1 | cut -d' ' -f3
+}
