@@ -41,7 +41,7 @@ func BootstrapIntervalCtx(ctx context.Context, tb *Table, fit *FitResult, limit 
 	// the divisor-1 maximiser in the engine's calling pattern, so the refit
 	// warm-starts from fit.Coef and typically converges in one iteration
 	// instead of repeating the whole cold fit.
-	refit, err := fitModelInit(tb, fit.Model, limit, 1, fit.Coef, nil)
+	refit, err := fitModelInit(tb, fit.Model, limit, 1, fit.Coef)
 	if err != nil {
 		return Interval{}, err
 	}
@@ -107,7 +107,7 @@ func BootstrapIntervalCtx(ctx context.Context, tb *Table, fit *FitResult, limit 
 		if resampled.Observed() == 0 {
 			return
 		}
-		f, err := fitModelScratch(resampled, fit.Model, limit, 1, refit.Coef, nil, &ws.sc)
+		f, err := fitModelScratch(resampled, fit.Model, limit, 1, refit.Coef, &ws.sc)
 		if err != nil {
 			return
 		}

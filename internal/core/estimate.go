@@ -129,7 +129,7 @@ func (e *Estimator) estimateFull(ctx context.Context, tb *Table, wantInterval bo
 		init = warm.Coef
 		telemetry.Active().SweepWarmStart()
 	}
-	fit, err := fitModelInit(work, model, limit, 1, init, nil)
+	fit, err := fitModelInit(work, model, limit, 1, init)
 	if err != nil {
 		return nil, nil, err
 	}

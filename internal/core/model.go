@@ -154,21 +154,18 @@ func getScratch() *fitScratch {
 // scale divides all counts before fitting (the divisor heuristic, §3.3.2);
 // use 1 for estimation.
 func FitModel(tb *Table, m Model, limit float64, scale float64) (*FitResult, error) {
-	return fitModelInit(tb, m, limit, scale, nil, nil)
+	return fitModelInit(tb, m, limit, scale, nil)
 }
 
-// fitModelInit is FitModel with warm-start coefficients in design order;
-// the stepwise search passes the parent model's coefficients with a zero
-// inserted for the new term, and with them the round's shared start state
-// (stats.LatticeStart; nil computes it in the fit). Fits run on the
-// lattice (zeta transform) kernel: the CR design is always a subset
-// indicator over the capture-history lattice. A shape the kernel rejects
-// (more columns than observable cells, as for a one-source table) is
-// returned as its error.
-func fitModelInit(tb *Table, m Model, limit float64, scale float64, init []float64, start *stats.LatticeStart) (*FitResult, error) {
+// fitModelInit is FitModel with warm-start coefficients in design order.
+// Fits run on the lattice (zeta transform) kernel: the CR design is always
+// a subset indicator over the capture-history lattice. A shape the kernel
+// rejects (more columns than observable cells, as for a one-source table)
+// is returned as its error.
+func fitModelInit(tb *Table, m Model, limit float64, scale float64, init []float64) (*FitResult, error) {
 	sc := getScratch()
 	defer fitPool.Put(sc)
-	return fitModelScratch(tb, m, limit, scale, init, start, sc)
+	return fitModelScratch(tb, m, limit, scale, init, sc)
 }
 
 // fitModelScratch is fitModelInit against a caller-owned scratch: the
@@ -176,18 +173,18 @@ func fitModelInit(tb *Table, m Model, limit float64, scale float64, init []float
 // replicate that worker claims through the same lattice workspace, instead
 // of cycling the shared pool per replicate. The scratch is fully
 // overwritten on every call, so reuse cannot change any fit's numbers.
-func fitModelScratch(tb *Table, m Model, limit float64, scale float64, init []float64, start *stats.LatticeStart, sc *fitScratch) (*FitResult, error) {
+func fitModelScratch(tb *Table, m Model, limit float64, scale float64, init []float64, sc *fitScratch) (*FitResult, error) {
 	if scale < 1 {
 		scale = 1
 	}
 	sc.masks = m.appendColumnMasks(sc.masks)
 	ld := stats.Lattice{T: m.T, Masks: sc.masks}
 	y, limits := sc.load(tb, m.T, limit, scale)
-	res, err := ld.Fit(y, limits, init, start, &sc.ws)
+	res, err := ld.Fit(y, limits, init, &sc.ws)
 	if err != nil {
 		return nil, err
 	}
-	return fitResultFrom(tb, m, res, scale), nil
+	return fitResultFrom(tb.Observed(), m, res, scale), nil
 }
 
 // load fills the scratch's response vector with the t-source table's
@@ -216,15 +213,16 @@ func (sc *fitScratch) load(tb *Table, t int, limit, scale float64) (y, limits []
 	return y, limits
 }
 
-// fitResultFrom wraps a kernel result into a FitResult.
-func fitResultFrom(tb *Table, m Model, res *stats.GLMResult, scale float64) *FitResult {
+// fitResultFrom wraps a kernel result for a table of observed individuals
+// into a FitResult.
+func fitResultFrom(observed int64, m Model, res *stats.GLMResult, scale float64) *FitResult {
 	z0 := math.Exp(res.Coef[0]) * scale
 	return &FitResult{
 		Model:     m,
 		Coef:      res.Coef,
 		LogLik:    res.LogLik,
 		Z0:        z0,
-		N:         float64(tb.Observed()) + z0,
+		N:         float64(observed) + z0,
 		Converged: res.Converged,
 	}
 }

@@ -66,7 +66,7 @@ func newProfiler(tb *Table, m Model, limit float64, scale float64) *profiler {
 // pinned to n0, warm-starting from the previous evaluation's maximiser.
 func (pr *profiler) logLik(n0 float64) (float64, error) {
 	pr.y[0] = n0 / pr.scale
-	res, err := pr.ld.Fit(pr.y, pr.limits, pr.warm, nil, &pr.ws)
+	res, err := pr.ld.Fit(pr.y, pr.limits, pr.warm, &pr.ws)
 	if err != nil {
 		return 0, err
 	}

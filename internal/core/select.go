@@ -101,6 +101,13 @@ func SelectModel(tb *Table, opt SelectionOptions) (Model, float64, error) {
 // With a never-canceled context the search — and the selected model, IC and
 // coefficients — is bit-identical to SelectModel.
 func SelectModelCtx(ctx context.Context, tb *Table, opt SelectionOptions) (Model, float64, error) {
+	m, ic, _, err := selectModel(ctx, tb, opt)
+	return m, ic, err
+}
+
+// selectModel is SelectModelCtx that also returns the selected model's
+// divisor-scaled fit, whose coefficients the screening oracle pins.
+func selectModel(ctx context.Context, tb *Table, opt SelectionOptions) (Model, float64, *FitResult, error) {
 	t := tb.T
 	maxOrder := opt.MaxOrder
 	if maxOrder <= 0 || maxOrder > t-1 {
@@ -120,31 +127,32 @@ func SelectModelCtx(ctx context.Context, tb *Table, opt SelectionOptions) (Model
 	rec := telemetry.Active()
 	defer rec.SelectionDone()
 	d := opt.Divisor.divisor(tb)
+	observed := tb.Observed()
 	cur := IndependenceModel(t)
-	curFit, err := fitModelInit(tb, cur, opt.Limit, d, nil, nil)
+	curFit, err := fitModelInit(tb, cur, opt.Limit, d, nil)
 	if err != nil {
-		return cur, 0, err
+		return cur, 0, nil, err
 	}
-	curIC := icOf(tb, cur, curFit, opt, d)
+	curIC := icOf(observed, cur.NumParams(), curFit.LogLik, opt, d)
 	// One scratch holds the selection's prologue: the divisor-scaled
-	// response and truncation vectors, Σ ln y_s! (which depends on nothing
-	// else, so it is summed once per selection), and each round's start
-	// state at the parent's coefficients. Every candidate's warm start is
-	// those coefficients plus a zero on the candidate's fresh mask, which
-	// scatters to the parent's η bit for bit, so the candidates read the
-	// start instead of each recomputing it (stats.LatticeStart).
+	// response and truncation vectors, which every candidate fit reads in
+	// place, Σ ln y_s! (which depends on nothing else, so it is summed once
+	// per selection), and each round's start state at the parent's
+	// coefficients. Every candidate's warm start is those coefficients
+	// plus a zero on the candidate's fresh mask, which scatters to the
+	// parent's η bit for bit, so the candidates read the start instead of
+	// each recomputing it (stats.LatticeStart).
 	pro := getScratch()
 	defer fitPool.Put(pro)
 	y, limits := pro.load(tb, t, opt.Limit, d)
 	pro.start.LogFactSum = stats.Lattice{T: t}.LogFactorialSum(y)
-	var cands []int
-	var fits []*FitResult
-	var ics []float64
+	var cands, polish []int
+	var fits []*stats.GLMResult
 	for len(cur.Terms) < maxTerms {
 		// Cancellation checkpoint between stepwise rounds: a canceled
 		// search returns an error, never a partially-selected model.
 		if err := ctx.Err(); err != nil {
-			return Model{}, 0, err
+			return Model{}, 0, nil, err
 		}
 		// Enumerate the eligible candidate terms in ascending mask order,
 		// then fit them concurrently: each candidate fit is independent and
@@ -163,49 +171,102 @@ func SelectModelCtx(ctx context.Context, tb *Table, opt SelectionOptions) (Model
 		}
 		rec.SelectRound(len(cands))
 		if cap(fits) < len(cands) {
-			fits = make([]*FitResult, len(cands))
-			ics = make([]float64, len(cands))
+			fits = make([]*stats.GLMResult, len(cands))
 		}
 		fits = fits[:len(cands)]
-		ics = ics[:len(cands)]
 		warm := curFit.Coef
 		pro.masks = cur.appendColumnMasks(pro.masks)
 		parent := stats.Lattice{T: t, Masks: pro.masks}
 		if err := parent.Prologue(y, limits, warm, &pro.start, &pro.ws); err != nil {
-			return Model{}, 0, err
+			return Model{}, 0, nil, err
 		}
+		// Screen every candidate: a fit may stop once its steps contract
+		// below the screening tolerance (stats.Lattice.Screen).
 		if err := parallel.ForEachCtx(ctx, len(cands), func(i int) {
 			fits[i] = nil
 			h := cands[i]
 			cand := cur.With(h)
-			fit, err := fitModelInit(tb, cand, opt.Limit, d, warmStart(cur, cand, h, warm), &pro.start)
+			sc := getScratch()
+			defer fitPool.Put(sc)
+			sc.masks = cand.appendColumnMasks(sc.masks)
+			res, err := stats.Lattice{T: t, Masks: sc.masks}.Screen(y, limits, warmStart(cur, cand, h, warm), &pro.start, &sc.ws)
 			if err != nil {
 				return // singular candidate: skip
 			}
-			fits[i] = fit
-			ics[i] = icOf(tb, cand, fit, opt, d)
+			fits[i] = res
 		}); err != nil {
 			// Canceled mid-round: the fits slice is partially filled and
 			// must not feed the reduction.
-			return Model{}, 0, err
+			return Model{}, 0, nil, err
 		}
-		// Mask-ordered reduction: the strict < keeps the lowest mask on IC
-		// ties, exactly as the serial ascending-h scan did, so the selected
-		// model is bit-identical regardless of worker count.
-		bestIC := math.Inf(1)
-		best := -1
-		for i := range cands {
-			if fits[i] != nil && ics[i] < bestIC {
-				bestIC, best = ics[i], i
+		// Polish every screened candidate whose log-likelihood is within
+		// the screening band of the best screened one. Candidates share a
+		// parameter count, so the IC orders them as their log-likelihoods
+		// do, and one left screened could only overtake a polished one if
+		// its remaining gain (about a ninth of its last step's, below the
+		// band) exceeded the band. The winner's fit, IC and coefficients
+		// are therefore those of fitting every candidate to convergence.
+		top := math.Inf(-1)
+		screened := 0
+		for _, res := range fits {
+			if res != nil && res.Screened {
+				screened++
+				top = math.Max(top, res.LogLik)
 			}
+		}
+		band := top - stats.ScreenTol*(math.Abs(top)+1)
+		polish = polish[:0]
+		for i, res := range fits {
+			if res != nil && res.Screened && res.LogLik >= band {
+				polish = append(polish, i)
+			}
+		}
+		rec.CandidatesScreened(screened)
+		best := -1
+		bestIC := math.Inf(1)
+		k := cur.NumParams() + 1
+		for {
+			rec.CandidatesPolished(len(polish))
+			if err := parallel.ForEachCtx(ctx, len(polish), func(j int) {
+				i := polish[j]
+				sc := getScratch()
+				defer fitPool.Put(sc)
+				sc.masks = cur.With(cands[i]).appendColumnMasks(sc.masks)
+				res, err := stats.Lattice{T: t, Masks: sc.masks}.Polish(y, limits, fits[i], pro.start.LogFactSum, &sc.ws)
+				if err != nil {
+					res = nil // singular on the way: skip, as a full fit would
+				}
+				fits[i] = res
+			}); err != nil {
+				return Model{}, 0, nil, err
+			}
+			// Mask-ordered reduction: the strict < keeps the lowest mask on
+			// IC ties, exactly as the serial ascending-h scan did, so the
+			// selected model is bit-identical regardless of worker count.
+			best, bestIC = -1, math.Inf(1)
+			for i, res := range fits {
+				if res != nil {
+					if ic := icOf(observed, k, res.LogLik, opt, d); ic < bestIC {
+						bestIC, best = ic, i
+					}
+				}
+			}
+			// Only a failed polish can leave a screened winner: every
+			// candidate left screened lies below the band, and polishing
+			// raises a log-likelihood. Polish it too and reduce again.
+			if best < 0 || !fits[best].Screened {
+				break
+			}
+			polish = append(polish[:0], best)
 		}
 		if best < 0 || bestIC >= curIC-icDelta {
 			break
 		}
 		rec.TermAccepted(curIC - bestIC)
-		cur, curIC, curFit = fits[best].Model, bestIC, fits[best]
+		cand := cur.With(cands[best])
+		cur, curIC, curFit = cand, bestIC, fitResultFrom(observed, cand, fits[best], d)
 	}
-	return cur, curIC, nil
+	return cur, curIC, curFit, nil
 }
 
 // warmStart builds initial coefficients for cand = cur.With(h): cur's
@@ -225,17 +286,18 @@ func warmStart(cur, cand Model, h int, coef []float64) []float64 {
 	return out
 }
 
-// icOf computes the information criterion from a divisor-scaled fit.
-func icOf(tb *Table, m Model, fr *FitResult, opt SelectionOptions, d float64) float64 {
-	k := float64(m.NumParams())
+// icOf computes the information criterion of a divisor-scaled fit with
+// log-likelihood ll of a model with k free parameters to a table of
+// observed individuals.
+func icOf(observed int64, k int, ll float64, opt SelectionOptions, d float64) float64 {
 	switch opt.IC {
 	case BIC:
-		mObs := float64(tb.Observed()) / d
+		mObs := float64(observed) / d
 		if mObs < 2 {
 			mObs = 2
 		}
-		return math.Log(mObs)*k - 2*fr.LogLik
+		return math.Log(mObs)*float64(k) - 2*ll
 	default:
-		return 2*k - 2*fr.LogLik
+		return 2*float64(k) - 2*ll
 	}
 }

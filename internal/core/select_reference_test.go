@@ -14,11 +14,12 @@ import (
 )
 
 // selectModelReference is the stepwise search as it ran before the round's
-// prologue was shared: every candidate fit recomputes its own start state
-// (η, the log-likelihood, the first iteration's score sums and Σ ln y_s!)
-// from its warm-start coefficients. It is the oracle SelectModelCtx must
-// match bit for bit.
-func selectModelReference(ctx context.Context, tb *Table, opt SelectionOptions) (Model, float64, error) {
+// prologue was shared and candidates were screened: every candidate fit
+// recomputes its own start state (η, the log-likelihood, the first
+// iteration's score sums and Σ ln y_s!) from its warm-start coefficients
+// and runs to full convergence. It returns the selected model's fit with
+// the model and IC, and is the oracle selectModel must match bit for bit.
+func selectModelReference(ctx context.Context, tb *Table, opt SelectionOptions) (Model, float64, *FitResult, error) {
 	t := tb.T
 	maxOrder := opt.MaxOrder
 	if maxOrder <= 0 || maxOrder > t-1 {
@@ -38,14 +39,14 @@ func selectModelReference(ctx context.Context, tb *Table, opt SelectionOptions) 
 	defer rec.SelectionDone()
 	d := opt.Divisor.divisor(tb)
 	cur := IndependenceModel(t)
-	curFit, err := fitModelInit(tb, cur, opt.Limit, d, nil, nil)
+	curFit, err := fitModelInit(tb, cur, opt.Limit, d, nil)
 	if err != nil {
-		return cur, 0, err
+		return cur, 0, nil, err
 	}
-	curIC := icOf(tb, cur, curFit, opt, d)
+	curIC := icOf(tb.Observed(), cur.NumParams(), curFit.LogLik, opt, d)
 	for len(cur.Terms) < maxTerms {
 		if err := ctx.Err(); err != nil {
-			return Model{}, 0, err
+			return Model{}, 0, nil, err
 		}
 		var cands []int
 		for h := 3; h < 1<<uint(t); h++ {
@@ -65,14 +66,14 @@ func selectModelReference(ctx context.Context, tb *Table, opt SelectionOptions) 
 		if err := parallel.ForEachCtx(ctx, len(cands), func(i int) {
 			h := cands[i]
 			cand := cur.With(h)
-			fit, err := fitModelInit(tb, cand, opt.Limit, d, warmStart(cur, cand, h, warm), nil)
+			fit, err := fitModelInit(tb, cand, opt.Limit, d, warmStart(cur, cand, h, warm))
 			if err != nil {
 				return
 			}
 			fits[i] = fit
-			ics[i] = icOf(tb, cand, fit, opt, d)
+			ics[i] = icOf(tb.Observed(), cand.NumParams(), fit.LogLik, opt, d)
 		}); err != nil {
-			return Model{}, 0, err
+			return Model{}, 0, nil, err
 		}
 		bestIC := math.Inf(1)
 		best := -1
@@ -87,7 +88,7 @@ func selectModelReference(ctx context.Context, tb *Table, opt SelectionOptions) 
 		rec.TermAccepted(curIC - bestIC)
 		cur, curIC, curFit = fits[best].Model, bestIC, fits[best]
 	}
-	return cur, curIC, nil
+	return cur, curIC, curFit, nil
 }
 
 // prologueTable draws a t-source table whose first three sources (or as
@@ -121,10 +122,10 @@ func selectionEffort(t *testing.T, sel func() (Model, float64, error)) (Model, f
 }
 
 // TestSelectSharedPrologueMatchesReference pins the shared round prologue
-// to the per-candidate reference search: same model, bit-equal IC, the
-// same fit count and IRLS iteration total, and — for every candidate of
-// the final round — bit-equal coefficients, log-likelihood and iteration
-// count with and without the shared start.
+// to the per-candidate reference search: same model, bit-equal IC, no more
+// IRLS iterations in total, and — for every candidate of the final round —
+// bit-equal coefficients, log-likelihood and iteration count with and
+// without the shared start.
 func TestSelectSharedPrologueMatchesReference(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	r := rng.New(1515)
@@ -144,7 +145,8 @@ func TestSelectSharedPrologueMatchesReference(t *testing.T) {
 						parallel.SetWorkers(workers)
 						opt := SelectionOptions{IC: ic, Divisor: dm, Limit: limit}
 						wantM, wantIC, wantFits, wantIters := selectionEffort(t, func() (Model, float64, error) {
-							return selectModelReference(context.Background(), tb, opt)
+							m, ic, _, err := selectModelReference(context.Background(), tb, opt)
+							return m, ic, err
 						})
 						gotM, gotIC, gotFits, gotIters := selectionEffort(t, func() (Model, float64, error) {
 							return SelectModel(tb, opt)
@@ -155,7 +157,10 @@ func TestSelectSharedPrologueMatchesReference(t *testing.T) {
 						if math.Float64bits(gotIC) != math.Float64bits(wantIC) {
 							t.Fatalf("%s: IC %v, reference %v", name, gotIC, wantIC)
 						}
-						if gotFits != wantFits || gotIters != wantIters {
+						// Screening may stop a candidate early and polishing
+						// resumes it, so the kernel runs differ in number; the
+						// IRLS work can only shrink.
+						if gotIters > wantIters {
 							t.Fatalf("%s: %d fits / %d IRLS iterations, reference %d / %d",
 								name, gotFits, gotIters, wantFits, wantIters)
 						}
@@ -170,10 +175,11 @@ func TestSelectSharedPrologueMatchesReference(t *testing.T) {
 }
 
 // checkCandidateFits fits every hierarchical one-term extension of parent
-// from a shared start and from scratch, and requires bit-identical fits.
+// as the search does — screened from the shared start, then polished — and
+// from scratch with Fit, and requires bit-identical fits.
 func checkCandidateFits(t *testing.T, name string, tb *Table, parent Model, limit, d float64) {
 	t.Helper()
-	pfit, err := fitModelInit(tb, parent, limit, d, nil, nil)
+	pfit, err := fitModelInit(tb, parent, limit, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,16 +196,22 @@ func checkCandidateFits(t *testing.T, name string, tb *Table, parent Model, limi
 		}
 		cand := parent.With(h)
 		init := warmStart(parent, cand, h, pfit.Coef)
-		want, wantErr := fitModelInit(tb, cand, limit, d, init, nil)
-		got, gotErr := fitModelInit(tb, cand, limit, d, init, &pro.start)
+		cld := stats.Lattice{T: tb.T, Masks: cand.ColumnMasks()}
+		want, wantErr := cld.Fit(y, limits, init, nil)
+		got, gotErr := cld.Screen(y, limits, init, &pro.start, nil)
+		if gotErr == nil {
+			got, gotErr = cld.Polish(y, limits, got, pro.start.LogFactSum, nil)
+		}
 		if (wantErr != nil) != (gotErr != nil) {
 			t.Fatalf("%s: candidate %s errors differ: shared %v, reference %v", name, TermName(h), gotErr, wantErr)
 		}
 		if wantErr != nil {
 			continue
 		}
-		if math.Float64bits(got.LogLik) != math.Float64bits(want.LogLik) || got.Converged != want.Converged {
-			t.Fatalf("%s: candidate %s log-likelihood %v, reference %v", name, TermName(h), got.LogLik, want.LogLik)
+		if math.Float64bits(got.LogLik) != math.Float64bits(want.LogLik) || got.Converged != want.Converged ||
+			got.Iterations != want.Iterations {
+			t.Fatalf("%s: candidate %s log-likelihood %v after %d iterations, reference %v after %d",
+				name, TermName(h), got.LogLik, got.Iterations, want.LogLik, want.Iterations)
 		}
 		for j := range want.Coef {
 			if math.Float64bits(got.Coef[j]) != math.Float64bits(want.Coef[j]) {
@@ -207,4 +219,103 @@ func checkCandidateFits(t *testing.T, name string, tb *Table, parent Model, limi
 			}
 		}
 	}
+}
+
+// sparseTable draws a small t-source table with low capture rates, so many
+// cells hold sampling zeros and IRLS converges only linearly on the
+// interactions that touch them.
+func sparseTable(r *rng.RNG, t int) *Table {
+	base := make([]float64, t)
+	hot := make([]float64, t)
+	for j := range base {
+		base[j] = 0.04 + 0.02*float64(j%3)
+		hot[j] = base[j]
+		if j < 2 {
+			hot[j] = 0.5
+		}
+	}
+	return sampleTable(r, 800*t, base, hot, 0.2)
+}
+
+// symmetricTable folds tb onto itself under the swap of sources 1 and 2,
+// so candidates that differ only by that swap tie in exact arithmetic and
+// differ only by rounding: the near-ties the polish band exists for.
+func symmetricTable(tb *Table) *Table {
+	out := NewTable(tb.T)
+	for s := range tb.Counts {
+		swapped := s&^3 | (s&1)<<1 | (s>>1)&1
+		out.Counts[s] = tb.Counts[s] + tb.Counts[swapped]
+	}
+	return out
+}
+
+// TestScreenedSelectionMatchesFullSearch pins screen-then-polish to the
+// reference search, which fits every candidate to full tolerance: the same
+// model, bit-equal IC, and the selected fit's coefficients, log-likelihood
+// and convergence flag bit for bit. The corpus spans t = 2–9, dense and
+// sparse tables and their symmetrised near-tie twins, +Inf and binding
+// limits, the three divisor modes, BIC and AIC, and 1 and 4 workers; the
+// test fails if nothing was screened or polished.
+func TestScreenedSelectionMatchesFullSearch(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	rec := telemetry.NewRecorder()
+	telemetry.Enable(rec)
+	defer telemetry.Disable()
+	r := rng.New(1717)
+	combo := 0
+	for tt := 2; tt <= 9; tt++ {
+		for _, tb := range []*Table{prologueTable(r, tt), sparseTable(r, tt), symmetricTable(prologueTable(r, tt)), symmetricTable(sparseTable(r, tt))} {
+			var maxCount int64
+			for _, c := range tb.Counts {
+				if c > maxCount {
+					maxCount = c
+				}
+			}
+			// maxCount+5 truncates the largest cells within a few counts
+			// of their rate: the limit binds.
+			for _, limit := range []float64{math.Inf(1), float64(maxCount + 5)} {
+				for _, dm := range []DivisorMode{Fixed1, Fixed1000, Adaptive1000} {
+					// Alternate the worker count across the corpus rather
+					// than crossing it, to keep the race step short:
+					// TestSelectModelDeterministicAcrossWorkers pins
+					// worker-count invariance itself.
+					combo++
+					workers := 1 + 3*(combo%2)
+					for _, ic := range []IC{BIC, AIC} {
+						name := fmt.Sprintf("t=%d observed=%d limit=%v divisor=%+v %v workers=%d",
+							tt, tb.Observed(), limit, dm, ic, workers)
+						parallel.SetWorkers(workers)
+						opt := SelectionOptions{IC: ic, Divisor: dm, Limit: limit}
+						wantM, wantIC, wantFit, wantErr := selectModelReference(context.Background(), tb, opt)
+						gotM, gotIC, gotFit, gotErr := selectModel(context.Background(), tb, opt)
+						if (wantErr != nil) != (gotErr != nil) {
+							t.Fatalf("%s: error %v, reference %v", name, gotErr, wantErr)
+						}
+						if wantErr != nil {
+							continue
+						}
+						if !gotM.Equal(wantM) {
+							t.Fatalf("%s: selected %v, reference %v", name, gotM.Terms, wantM.Terms)
+						}
+						if math.Float64bits(gotIC) != math.Float64bits(wantIC) {
+							t.Fatalf("%s: IC %v, reference %v", name, gotIC, wantIC)
+						}
+						if math.Float64bits(gotFit.LogLik) != math.Float64bits(wantFit.LogLik) || gotFit.Converged != wantFit.Converged {
+							t.Fatalf("%s: selected fit log-likelihood %v (converged %v), reference %v (%v)",
+								name, gotFit.LogLik, gotFit.Converged, wantFit.LogLik, wantFit.Converged)
+						}
+						for j := range wantFit.Coef {
+							if math.Float64bits(gotFit.Coef[j]) != math.Float64bits(wantFit.Coef[j]) {
+								t.Fatalf("%s: coefficient %d = %v, reference %v", name, j, gotFit.Coef[j], wantFit.Coef[j])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if rec.Screened.Load() == 0 || rec.Polished.Load() == 0 {
+		t.Fatalf("screened %d, polished %d candidates: the corpus exercises nothing", rec.Screened.Load(), rec.Polished.Load())
+	}
+	t.Logf("screened %d candidate fits, polished %d", rec.Screened.Load(), rec.Polished.Load())
 }

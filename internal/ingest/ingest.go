@@ -252,24 +252,30 @@ func (p *Pipeline) Offer(source int, addr ipv4.Addr, t time.Time) {
 		// the slot in place.
 		*w = windowState{index: idx}
 	}
-	p.insertLocked(w, source, addr)
+	// A repeated (source, address) pair — routine in NetFlow — leaves the
+	// histogram, and so the window's table, unchanged: it must not force a
+	// refit, which could move the estimate's low bits and its warm flag.
+	if p.insertLocked(w, source, addr) {
+		w.dirty = true
+	}
 	p.accepted++
-	w.dirty = true
 	telemetry.Active().IngestEvent()
 }
 
 // insertLocked lands one accepted event in window w's capture histogram:
-// the O(1) incremental update. The histogram allocates lazily on a
+// the O(1) incremental update. It reports whether the histogram changed
+// (false for an observation the window already holds); hist_updates counts
+// every accepted event either way. The histogram allocates lazily on a
 // window's first event and widens in place when a source registered after
 // the window opened first appears.
-func (p *Pipeline) insertLocked(w *windowState, source int, addr ipv4.Addr) {
+func (p *Pipeline) insertLocked(w *windowState, source int, addr ipv4.Addr) bool {
 	if w.hist == nil {
 		w.hist = ipset.NewMaskHist(len(p.names))
 	} else if w.hist.T() < len(p.names) {
 		w.hist.Grow(len(p.names))
 	}
-	w.hist.Add(source, addr)
 	telemetry.Active().IngestHistUpdate()
+	return w.hist.Add(source, addr)
 }
 
 // Advance moves the event clock to t (monotonically: an earlier t is a

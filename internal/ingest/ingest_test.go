@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -326,6 +327,41 @@ func TestCleanWindowReusesEstimate(t *testing.T) {
 	}
 	if ticks[0].Windows[0].Estimate != ticks[1].Windows[0].Estimate {
 		t.Fatal("cached estimate drifted on a clean tick")
+	}
+}
+
+// TestDuplicateEventsKeepWindowClean: an interval that only repeats
+// (source, address) pairs the window already holds leaves its table
+// unchanged, so the tick republishes the previous figures without a refit,
+// while ingest.hist_updates still counts every accepted event.
+func TestDuplicateEventsKeepWindowClean(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	telemetry.Enable(rec)
+	defer telemetry.Disable()
+	var ticks []*Tick
+	p := New(Config{
+		Window: time.Minute,
+		Every:  15 * time.Second,
+		OnTick: func(tk *Tick) { ticks = append(ticks, tk) },
+	})
+	base := time.Unix(0, 0).UTC()
+	feed(t, p, base.Add(5*time.Second), 7)
+	p.Advance(base.Add(16 * time.Second))
+	fits, updates := rec.Fits.Load(), rec.IngestHistUpdates.Load()
+	feed(t, p, base.Add(20*time.Second), 7) // the same events again
+	p.Advance(base.Add(31 * time.Second))
+	if got := rec.Fits.Load(); got != fits {
+		t.Fatalf("duplicate events forced a refit (%d fits after, %d before)", got, fits)
+	}
+	if got := rec.IngestHistUpdates.Load(); got != 2*updates {
+		t.Fatalf("hist_updates = %d after replaying %d events, want %d", got, updates, 2*updates)
+	}
+	if len(ticks) != 2 {
+		t.Fatalf("fired %d ticks, want 2", len(ticks))
+	}
+	first, second := ticks[0].Windows[0], ticks[1].Windows[0]
+	if !first.Estimated || !reflect.DeepEqual(first, second) {
+		t.Fatalf("duplicate-only interval changed the window: %+v, then %+v", first, second)
 	}
 }
 

@@ -191,23 +191,37 @@ func FitPoissonGLMFlat(x Matrix, y []float64, limits []float64, init []float64, 
 		}
 	}
 
-	fitted := make([]float64, n)
-	for i := range fitted {
-		e := dot(x.Row(i), coef)
-		if e > maxEta {
-			e = maxEta
-		}
-		fitted[i] = math.Exp(e)
-	}
 	outCoef := make([]float64, p)
 	copy(outCoef, coef)
 	return &GLMResult{
 		Coef:       outCoef,
-		Fitted:     fitted,
 		LogLik:     ll,
 		Iterations: it + 1,
 		Converged:  converged,
 	}, nil
+}
+
+// denseRates derives a dense fit's rate per row, exp(x·coef) with η
+// clamped at maxEta, from its coefficients: GLMResult carries no fitted
+// vector.
+func denseRates(x Matrix, coef []float64) []float64 {
+	rates := make([]float64, x.Rows)
+	for i := range rates {
+		rates[i] = math.Exp(math.Min(dot(x.Row(i), coef), maxEta))
+	}
+	return rates
+}
+
+// latticeRates derives a lattice fit's rate per cell (length 2^T; entry 0
+// is the unobserved cell's rate whether or not Cell0 is set) from its
+// coefficients, as denseRates does for the dense kernel.
+func latticeRates(ld Lattice, coef []float64) []float64 {
+	rates := make([]float64, 1<<uint(ld.T))
+	LatticeEta(ld.T, ld.Masks, coef, rates)
+	for s, e := range rates {
+		rates[s] = math.Exp(math.Min(e, maxEta))
+	}
+	return rates
 }
 
 // glmLogLik evaluates the (possibly right-truncated) Poisson

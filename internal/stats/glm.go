@@ -3,10 +3,10 @@ package stats
 // GLMResult holds the fitted Poisson regression.
 type GLMResult struct {
 	Coef       []float64 // coefficient per design column
-	Fitted     []float64 // fitted Poisson rate λ_i per row
 	LogLik     float64   // maximised log-likelihood (full, incl. constants)
 	Iterations int
 	Converged  bool
+	Screened   bool // stopped early by Lattice.Screen; Lattice.Polish resumes it
 }
 
 // maxEta bounds the linear predictor so exp never overflows; e^30 ≈ 1e13
@@ -33,6 +33,11 @@ type Workspace struct {
 	lam, lamCand []float64 // per-cell rate exp(clamped η)
 	tn, tnCand   []bool    // per-cell: truncation negligible (or absent)
 	zw, zr       []float64 // zeta-transform buffers for weights and residuals
+
+	// The last truncation limit logLik met and its crossover rate
+	// (TruncationCrossover), valid once crossSet.
+	crossLimit, cross float64
+	crossSet          bool
 }
 
 // grow returns b resized to want, reallocating only when it lacks the

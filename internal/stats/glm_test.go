@@ -32,8 +32,9 @@ func TestGLMTwoGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx(t, "group 0 rate", res.Fitted[0], 12, 1e-5)
-	approx(t, "group 1 rate", res.Fitted[2], 120, 1e-3)
+	rates := denseRates(matrixFromRows(x), res.Coef)
+	approx(t, "group 0 rate", rates[0], 12, 1e-5)
+	approx(t, "group 1 rate", rates[2], 120, 1e-3)
 }
 
 func TestGLMRecoversSimulatedCoefficients(t *testing.T) {
@@ -129,8 +130,8 @@ func TestGLMZeroCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fitted[0] > 0.01 {
-		t.Fatalf("fitted rate for all-zero data = %v, want ≈0", res.Fitted[0])
+	if rate := denseRates(matrixFromRows(x), res.Coef)[0]; rate > 0.01 {
+		t.Fatalf("fitted rate for all-zero data = %v, want ≈0", rate)
 	}
 }
 
@@ -142,8 +143,9 @@ func TestGLMLargeCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx(t, "rate 0", res.Fitted[0], 3e8, 1)
-	approx(t, "rate 1", res.Fitted[1], 7e8, 3)
+	rates := denseRates(matrixFromRows(x), res.Coef)
+	approx(t, "rate 0", rates[0], 3e8, 1)
+	approx(t, "rate 1", rates[1], 7e8, 3)
 }
 
 func TestGLMFlatMatchesRowAPI(t *testing.T) {

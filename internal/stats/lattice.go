@@ -61,12 +61,13 @@ func (ld Lattice) Validate() error {
 }
 
 // SubsetSum replaces v (length 2^t, indexed by cell mask) with its subset
-// zeta transform: out[s] = Σ_{m ⊆ s} v[m], in O(t·2^t). Bit-planes 0–2
-// only mix cells inside an aligned 8-cell block, so they run fused, one
-// register-resident pass per block; the higher planes walk aligned blocks
-// pairwise (lo half into hi half). Either way every cell receives the same
-// additions in the same order as the naive masked loop — the results are
-// bit-identical — without a branch per cell.
+// zeta transform: out[s] = Σ_{m ⊆ s} v[m], in O(t·2^t). Three consecutive
+// bit-planes only mix the eight cells of one group (base + j·2^plane for
+// j = 0..7), so each run of three planes is one fused pass per group —
+// register-resident for planes 0–2 — and a leftover plane or two walks
+// aligned blocks pairwise (lo half into hi half). Either way every cell
+// receives the same additions in the same order as the naive masked loop —
+// the results are bit-identical — without a branch per cell.
 func SubsetSum(t int, v []float64) {
 	n := 1 << uint(t)
 	v = v[:n]
@@ -90,6 +91,30 @@ func SubsetSum(t int, v []float64) {
 		}
 		plane = 3
 	}
+	for ; plane+3 <= t; plane += 3 {
+		bit := 1 << uint(plane)
+		for b := v; len(b) >= bit<<3; b = b[bit<<3:] {
+			c0 := b[:bit:bit]
+			c1, c2, c3 := b[bit:][:len(c0)], b[2*bit:][:len(c0)], b[3*bit:][:len(c0)]
+			c4, c5, c6, c7 := b[4*bit:][:len(c0)], b[5*bit:][:len(c0)], b[6*bit:][:len(c0)], b[7*bit:][:len(c0)]
+			for k, x0 := range c0 {
+				x1, x2, x3, x4, x5, x6, x7 := c1[k], c2[k], c3[k], c4[k], c5[k], c6[k], c7[k]
+				x1 += x0 // plane
+				x3 += x2
+				x5 += x4
+				x7 += x6
+				x2 += x0 // plane+1
+				x3 += x1
+				x6 += x4
+				x7 += x5
+				x4 += x0 // plane+2
+				x5 += x1
+				x6 += x2
+				x7 += x3
+				c1[k], c2[k], c3[k], c4[k], c5[k], c6[k], c7[k] = x1, x2, x3, x4, x5, x6, x7
+			}
+		}
+	}
 	for ; plane < t; plane++ {
 		bit := 1 << uint(plane)
 		for b := v; len(b) >= bit<<1; b = b[bit<<1:] {
@@ -104,8 +129,8 @@ func SubsetSum(t int, v []float64) {
 
 // SupersetSum replaces v (length 2^t, indexed by cell mask) with its
 // superset zeta transform: out[s] = Σ_{m ⊇ s} v[m], in O(t·2^t). Same
-// fused low planes and blocked higher planes as SubsetSum (hi half into lo
-// half), preserving the naive loop's update order exactly.
+// fused three-plane groups and blocked leftover planes as SubsetSum (hi
+// into lo), preserving the naive loop's update order exactly.
 func SupersetSum(t int, v []float64) {
 	n := 1 << uint(t)
 	v = v[:n]
@@ -128,6 +153,30 @@ func SupersetSum(t int, v []float64) {
 			b[0], b[1], b[2], b[3], b[4], b[5], b[6] = b0, b1, b2, b3, b4, b5, b6
 		}
 		plane = 3
+	}
+	for ; plane+3 <= t; plane += 3 {
+		bit := 1 << uint(plane)
+		for b := v; len(b) >= bit<<3; b = b[bit<<3:] {
+			c7 := b[7*bit : 8*bit : 8*bit]
+			c0, c1, c2, c3 := b[:len(c7)], b[bit:][:len(c7)], b[2*bit:][:len(c7)], b[3*bit:][:len(c7)]
+			c4, c5, c6 := b[4*bit:][:len(c7)], b[5*bit:][:len(c7)], b[6*bit:][:len(c7)]
+			for k, x7 := range c7 {
+				x0, x1, x2, x3, x4, x5, x6 := c0[k], c1[k], c2[k], c3[k], c4[k], c5[k], c6[k]
+				x0 += x1 // plane
+				x2 += x3
+				x4 += x5
+				x6 += x7
+				x0 += x2 // plane+1
+				x1 += x3
+				x4 += x6
+				x5 += x7
+				x0 += x4 // plane+2
+				x1 += x5
+				x2 += x6
+				x3 += x7
+				c0[k], c1[k], c2[k], c3[k], c4[k], c5[k], c6[k] = x0, x1, x2, x3, x4, x5, x6
+			}
+		}
 	}
 	for ; plane < t; plane++ {
 		bit := 1 << uint(plane)
@@ -161,7 +210,7 @@ func LatticeEta(t int, masks []int, coef []float64, eta []float64) {
 // to the same η share it bit for bit — the stepwise search's candidates,
 // which extend the parent's coefficients with a zero on a mask no other
 // column uses (adding +0 to a cell that is already +0 changes no float).
-// Prologue fills it once and Fit only reads it, so concurrent fits may
+// Prologue fills it once and Screen only reads it, so concurrent fits may
 // share one. The zero value is ready; buffers grow on demand and are
 // retained.
 type LatticeStart struct {
@@ -201,9 +250,9 @@ func (ld Lattice) LogFactorialSum(y []float64) float64 {
 
 // Prologue fills st with the start state of a fit of ld from coef (in
 // column order), evaluating the log-likelihood against st.LogFactSum and
-// using ws (required) as scratch. A later Fit of the same y and limits, on
-// a lattice with the same T and Cell0, may pass st as its start when its
-// init coefficients scatter to the same η as coef.
+// using ws (required) as scratch. A later Screen of the same y and limits,
+// on a lattice with the same T and Cell0, may pass st as its start when
+// its init coefficients scatter to the same η as coef.
 func (ld Lattice) Prologue(y, limits, coef []float64, st *LatticeStart, ws *Workspace) error {
 	if err := ld.check(y, limits); err != nil {
 		return err
@@ -223,21 +272,68 @@ func (ld Lattice) Prologue(y, limits, coef []float64, st *LatticeStart, ws *Work
 	return nil
 }
 
+// fitCap bounds the Fisher-scoring iterations of one fit; a screened fit
+// and its polish share it.
+const fitCap = 200
+
+// ScreenTol is τ, the screening tolerance of Screen: a candidate fit may
+// stop once a full Newton step gains less than τ·(|ℓ|+1) in
+// log-likelihood, and the stepwise search polishes every screened
+// candidate within the same band of the round's best.
+const ScreenTol = 1e-5
+
 // Fit runs the lattice-aware Fisher-scoring fit. y holds the per-cell
 // counts (length 2^T, indexed by capture-history mask; y[0] is ignored
 // unless Cell0), limits the optional per-cell right-truncation bounds (nil
 // for plain Poisson), init optional warm-start coefficients in column
-// order, start the optional shared start state of init (see LatticeStart;
-// it requires init, and nil computes it here), and ws reusable scratch
-// (nil for a one-off fit). A start changes no number: the fit is bit for
-// bit the one without it.
+// order, and ws reusable scratch (nil for a one-off fit).
 //
-// Fitted in the returned GLMResult is indexed by lattice cell (length 2^T;
-// entry 0 is the fitted unobserved-cell rate whether or not Cell0 is set).
-// The dense row-major kernel in the package tests is the oracle: its
-// summation order differs, so coefficients agree to tolerance (≤1e-9
-// relative, pinned by the differential tests), not bit-exactly.
-func (ld Lattice) Fit(y, limits, init []float64, start *LatticeStart, ws *Workspace) (*GLMResult, error) {
+// The result carries coefficients, not fitted rates: LatticeEta gives η
+// for any coefficient vector. The dense row-major kernel in the package
+// tests is the oracle: its summation order differs, so coefficients agree
+// to tolerance (≤1e-9 relative, pinned by the differential tests), not
+// bit-exactly.
+func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, error) {
+	return ld.fit(y, limits, init, nil, nil, fitCap, false, ws)
+}
+
+// Screen is Fit for a stepwise candidate, which may stop early: after any
+// full Newton step but the first whose log-likelihood gain g is below
+// ScreenTol·(|ℓ|+1) and at most a tenth of the previous step's gain, it
+// returns with Screened set (and Converged unset). Under that contraction
+// the rest of the climb adds about g/9 at most, so a screened fit that
+// cannot reach the round's best need not finish. Otherwise Screen's result
+// is Fit's, bit for bit. A screened result resumes with Polish. start is
+// the optional shared start state of init (see LatticeStart; it requires
+// init, and nil computes it here); it changes no number.
+func (ld Lattice) Screen(y, limits, init []float64, start *LatticeStart, ws *Workspace) (*GLMResult, error) {
+	return ld.fit(y, limits, init, start, nil, fitCap, true, ws)
+}
+
+// Polish resumes a screened fit res of the same y and limits from its
+// coefficients with the iterations left of the cap; logFactSum is
+// LogFactorialSum(y), which the screened fit read from its start.
+// Resuming replays the iterates the unscreened fit would have taken, so
+// the result — coefficients, log-likelihood, convergence and the total
+// iteration count — is bit for bit Fit's. A result that was not screened
+// is returned as is.
+func (ld Lattice) Polish(y, limits []float64, res *GLMResult, logFactSum float64, ws *Workspace) (*GLMResult, error) {
+	if !res.Screened {
+		return res, nil
+	}
+	out, err := ld.fit(y, limits, res.Coef, nil, &logFactSum, fitCap-res.Iterations, false, ws)
+	if err != nil {
+		return nil, err
+	}
+	out.Iterations += res.Iterations
+	return out, nil
+}
+
+// fit is the Fisher-scoring loop behind Fit, Screen and Polish: at most
+// maxIter iterations, stopping early when screen allows it. logFactSum,
+// when non-nil, stands in for Σ ln y_s! (a start supplies its own); with
+// neither, the fit sums it.
+func (ld Lattice) fit(y, limits, init []float64, start *LatticeStart, logFactSum *float64, maxIter int, screen bool, ws *Workspace) (*GLMResult, error) {
 	if err := ld.check(y, limits); err != nil {
 		return nil, err
 	}
@@ -251,14 +347,14 @@ func (ld Lattice) Fit(y, limits, init []float64, start *LatticeStart, ws *Worksp
 	}
 	ws.reserveLattice(n, p)
 
-	first := 1 // first active cell
-	if ld.Cell0 {
-		first = 0
-	}
 	coef := ws.coef[:p]
 	if len(init) == p {
 		copy(coef, init)
 	} else {
+		first := 1 // first active cell
+		if ld.Cell0 {
+			first = 0
+		}
 		meanY := 0.0
 		for s := first; s < n; s++ {
 			meanY += y[s]
@@ -273,17 +369,21 @@ func (ld Lattice) Fit(y, limits, init []float64, start *LatticeStart, ws *Worksp
 		coef[0] = math.Log(meanY)
 	}
 
-	var logFactSum, ll float64
+	var lfs, ll float64
 	if start != nil {
 		// The shared start stands in for the logLik call below and for the
 		// first iteration's score sums. ws.lam and ws.tn stay stale: only
 		// those sums would read them before an accepted step swaps in the
 		// candidate's, and a fit that accepts no step reads only ws.eta.
-		logFactSum, ll = start.LogFactSum, start.logLik
+		lfs, ll = start.LogFactSum, start.logLik
 		copy(ws.eta[:n], start.eta)
 	} else {
-		logFactSum = ld.LogFactorialSum(y)
-		ll = ld.logLik(y, limits, coef, logFactSum, ws)
+		if logFactSum != nil {
+			lfs = *logFactSum
+		} else {
+			lfs = ld.LogFactorialSum(y)
+		}
+		ll = ld.logLik(y, limits, coef, lfs, ws)
 		// logLik left η(coef), λ(coef) and the per-cell truncation flags in
 		// the candidate buffers; swap them in so every iteration reads the
 		// current values without recomputing the subset sum, the
@@ -295,8 +395,9 @@ func (ld Lattice) Fit(y, limits, init []float64, start *LatticeStart, ws *Worksp
 		ws.tn, ws.tnCand = ws.tnCand, ws.tn
 	}
 	var it int
-	converged := false
-	for it = 0; it < 200; it++ {
+	converged, screened := false, false
+	prevGain := 0.0
+	for it = 0; it < maxIter; it++ {
 		zw, zr := ws.zw[:n], ws.zr[:n]
 		if it == 0 && start != nil {
 			zw, zr = start.zw, start.zr
@@ -334,7 +435,7 @@ func (ld Lattice) Fit(y, limits, init []float64, start *LatticeStart, ws *Worksp
 			for j := range cand {
 				cand[j] = coef[j] + step*delta[j]
 			}
-			candLL := ld.logLik(y, limits, cand, logFactSum, ws)
+			candLL := ld.logLik(y, limits, cand, lfs, ws)
 			if candLL >= ll-1e-12 && !math.IsNaN(candLL) {
 				nextLL, improved = candLL, true
 				break
@@ -345,6 +446,7 @@ func (ld Lattice) Fit(y, limits, init []float64, start *LatticeStart, ws *Worksp
 			break
 		}
 		done := math.Abs(nextLL-ll) < 1e-9*(math.Abs(ll)+1)
+		gain := nextLL - ll
 		ws.coef, ws.cand = cand, coef // swap buffers instead of copying
 		// The last logLik call evaluated the accepted candidate, so its η,
 		// λ and truncation flags are current again after the swap.
@@ -356,28 +458,24 @@ func (ld Lattice) Fit(y, limits, init []float64, start *LatticeStart, ws *Worksp
 			converged = true
 			break
 		}
+		if screen && it > 0 && step == 1 && gain < ScreenTol*(math.Abs(ll)+1) && gain <= prevGain/10 {
+			screened = true
+			break
+		}
+		prevGain = gain
 	}
 
-	// ws.eta still holds η of the final coefficients (the loop invariant),
-	// so the fitted rates need no further transform.
-	fitted := make([]float64, n)
-	copy(fitted, ws.eta[:n])
-	for s := range fitted {
-		e := fitted[s]
-		if e > maxEta {
-			e = maxEta
-		}
-		fitted[s] = math.Exp(e)
-	}
-	telemetry.Active().FitDone(it+1, converged)
+	// A screened stop is not a failure to converge: the fit either
+	// resumes (Polish) or cannot win its round.
+	telemetry.Active().FitDone(it+1, converged || screened)
 	outCoef := make([]float64, p)
 	copy(outCoef, coef)
 	return &GLMResult{
 		Coef:       outCoef,
-		Fitted:     fitted,
 		LogLik:     ll,
 		Iterations: it + 1,
 		Converged:  converged,
+		Screened:   screened,
 	}, nil
 }
 
@@ -418,7 +516,9 @@ func (ld Lattice) scoreSums(y, limits, lam []float64, tn []bool, zw, zr []float6
 // coef, computing η by subset sum into the workspace's candidate buffers.
 // Alongside the likelihood it records per-cell λ = exp(clamped η) and
 // whether the cell's truncation is absent or negligible, so the scoring
-// loop can reuse both when the candidate is accepted.
+// loop can reuse both when the candidate is accepted. Negligibility is one
+// comparison against the limit's crossover rate (TruncationCrossover),
+// cached in ws while consecutive cells share a limit.
 func (ld Lattice) logLik(y, limits, coef []float64, logFactSum float64, ws *Workspace) float64 {
 	n := 1 << uint(ld.T)
 	eta := ws.etaCand[:n]
@@ -441,7 +541,10 @@ func (ld Lattice) logLik(y, limits, coef []float64, logFactSum float64, ws *Work
 		lam[s] = lambda
 		ll += y[s]*e - lambda
 		if limits != nil && !math.IsInf(limits[s], 1) {
-			if TruncationNegligible(limits[s], lambda) {
+			if l := limits[s]; !ws.crossSet || l != ws.crossLimit {
+				ws.crossLimit, ws.cross, ws.crossSet = l, TruncationCrossover(l), true
+			}
+			if lambda <= ws.cross {
 				tn[s] = true
 			} else {
 				tn[s] = false

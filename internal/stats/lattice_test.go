@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -277,7 +278,7 @@ func TestLatticeHandT2(t *testing.T) {
 	ld := Lattice{T: 2, Masks: []int{0, 1, 2}}
 	y := []float64{0, 6, 3, 2}
 	want := []float64{math.Log(9), math.Log(2.0 / 3), math.Log(1.0 / 3)}
-	res, err := ld.Fit(y, nil, nil, nil, nil)
+	res, err := ld.Fit(y, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,17 +290,18 @@ func TestLatticeHandT2(t *testing.T) {
 			t.Fatalf("coef[%d] = %v, want %v", j, res.Coef[j], w)
 		}
 	}
+	rates := latticeRates(ld, res.Coef)
 	for s, wantFit := range []float64{0, 6, 3, 2} {
 		if s == 0 {
 			continue // unobserved cell checked separately below
 		}
-		if relDiff(res.Fitted[s], wantFit) > 1e-8 {
-			t.Fatalf("fitted[%d] = %v, want %v", s, res.Fitted[s], wantFit)
+		if relDiff(rates[s], wantFit) > 1e-8 {
+			t.Fatalf("fitted[%d] = %v, want %v", s, rates[s], wantFit)
 		}
 	}
 	// The unobserved cell's rate is the intercept alone: e^{β0} = 9.
-	if relDiff(res.Fitted[0], 9) > 1e-8 {
-		t.Fatalf("fitted[0] = %v, want 9", res.Fitted[0])
+	if relDiff(rates[0], 9) > 1e-8 {
+		t.Fatalf("fitted[0] = %v, want 9", rates[0])
 	}
 	// The dense kernel on the materialised design must agree.
 	dense, err := FitPoissonGLMFlat(denseFromMasks(2, ld.Masks, false), y[1:], nil, nil, nil)
@@ -404,7 +406,7 @@ func TestLatticeFitMatchesDense(t *testing.T) {
 					init[j] = rng.NormFloat64() * 0.1
 				}
 			}
-			lat, err := ld.Fit(y, limits, init, nil, ws)
+			lat, err := ld.Fit(y, limits, init, ws)
 			if err != nil {
 				t.Fatalf("t=%d cell0=%v lattice fit: %v", tt, cell0, err)
 			}
@@ -444,9 +446,10 @@ func TestLatticeFitMatchesDense(t *testing.T) {
 			}
 			// Fitted rates at the common refined optimum agree through the
 			// η identity; spot-check the raw fits correspond cell-for-cell.
+			latFit, denseFit := latticeRates(ld, lat.Coef), denseRates(x, dense.Coef)
 			for s := first; s < n; s++ {
-				if relDiff(lat.Fitted[s], dense.Fitted[s-first]) > 1e-6 {
-					t.Fatalf("t=%d cell0=%v fitted[%d]: lattice %v dense %v", tt, cell0, s, lat.Fitted[s], dense.Fitted[s-first])
+				if relDiff(latFit[s], denseFit[s-first]) > 1e-6 {
+					t.Fatalf("t=%d cell0=%v fitted[%d]: lattice %v dense %v", tt, cell0, s, latFit[s], denseFit[s-first])
 				}
 			}
 		}
@@ -504,7 +507,78 @@ func TestLatticeValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if _, err := (Lattice{T: 2, Masks: []int{0, 1}}).Fit([]float64{0, 1, 2}, nil, nil, nil, nil); err == nil {
+	if _, err := (Lattice{T: 2, Masks: []int{0, 1}}).Fit([]float64{0, 1, 2}, nil, nil, nil); err == nil {
 		t.Fatal("expected dimension mismatch error")
 	}
+}
+
+// TestLatticeScreenPolishMatchesFit pins the screened path to Fit: a
+// Screen result is either Fit's bit for bit, or screened, and then Polish
+// resumes it to Fit's coefficients, log-likelihood, convergence flag and
+// iteration count, bit for bit — from a cold start, a warm start, and a
+// shared start filled by Prologue. Sparse cells (IRLS converges only
+// linearly there) and tight limits are in the mix, and the test fails if
+// nothing was screened.
+func TestLatticeScreenPolishMatchesFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ws, wsRef := &Workspace{}, &Workspace{}
+	screened := 0
+	for rep := 0; rep < 6; rep++ {
+		for tt := 2; tt <= 9; tt++ {
+			ld := randomLattice(tt, rng)
+			y, limits := randomCells(tt, rng)
+			for s := range y {
+				if rng.Intn(4) == 0 {
+					y[s] = 0 // sampling zero
+				}
+			}
+			if rep%2 == 1 {
+				limits = nil
+			}
+			var init []float64
+			var start *LatticeStart
+			if mode := rep % 3; mode > 0 {
+				init = make([]float64, len(ld.Masks))
+				init[0] = 3
+				for j := 1; j < len(init); j++ {
+					init[j] = rng.NormFloat64() * 0.3
+				}
+				if mode == 2 {
+					start = &LatticeStart{LogFactSum: ld.LogFactorialSum(y)}
+					if err := ld.Prologue(y, limits, init, start, &Workspace{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			name := fmt.Sprintf("rep=%d t=%d masks=%v", rep, tt, ld.Masks)
+			want, wantErr := ld.Fit(y, limits, init, wsRef)
+			got, gotErr := ld.Screen(y, limits, init, start, ws)
+			if gotErr == nil && got.Screened {
+				screened++
+				if got.Converged {
+					t.Fatalf("%s: screened fit claims convergence", name)
+				}
+				got, gotErr = ld.Polish(y, limits, got, ld.LogFactorialSum(y), ws)
+			}
+			if (wantErr != nil) != (gotErr != nil) {
+				t.Fatalf("%s: errors differ: screened %v, Fit %v", name, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if got.Screened || got.Converged != want.Converged || got.Iterations != want.Iterations ||
+				math.Float64bits(got.LogLik) != math.Float64bits(want.LogLik) {
+				t.Fatalf("%s: screened+polished %+v, Fit %+v", name, got, want)
+			}
+			for j := range want.Coef {
+				if math.Float64bits(got.Coef[j]) != math.Float64bits(want.Coef[j]) {
+					t.Fatalf("%s: coef[%d] = %v, Fit %v", name, j, got.Coef[j], want.Coef[j])
+				}
+			}
+		}
+	}
+	if screened == 0 {
+		t.Fatal("no fit was screened: the test exercises nothing")
+	}
+	t.Logf("%d of %d fits screened", screened, 6*8)
 }

@@ -182,6 +182,32 @@ func TruncationNegligible(limit, lambda float64) bool {
 	return limit > lambda+40*math.Sqrt(lambda)+100
 }
 
+// TruncationCrossover returns λ*, the largest rate at which
+// TruncationNegligible(limit, λ) holds (−Inf when it holds at no λ ≥ 0).
+// λ + 40√λ + 100 is non-decreasing in λ even in floating point — every
+// operation is a correctly rounded monotone function — so for every rate
+// λ ≥ 0, and for NaN, TruncationNegligible(limit, λ) is exactly λ ≤ λ*. It
+// is found by bisection on the float bit patterns, which order like the
+// values for λ ≥ 0, so it costs about 62 evaluations once per limit
+// instead of a square root per cell.
+func TruncationCrossover(limit float64) float64 {
+	if !TruncationNegligible(limit, 0) {
+		return math.Inf(-1)
+	}
+	// The predicate holds at lo and fails at hi (λ = limit never passes;
+	// for limit = +Inf the search ends at the largest finite rate).
+	lo, hi := math.Float64bits(0), math.Float64bits(limit)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if TruncationNegligible(limit, math.Float64frombits(mid)) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return math.Float64frombits(lo)
+}
+
 // logF returns ln F(l; λ) for the truncation bound.
 func (tp TruncPoisson) logF(l float64) float64 {
 	if math.IsInf(tp.Limit, 1) {

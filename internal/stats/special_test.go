@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -177,4 +178,44 @@ func TestChiSquareCDF(t *testing.T) {
 	// Consistency with the df=1 quantile.
 	q := ChiSquare1Quantile(0.99)
 	approx(t, "quantile round trip", ChiSquareCDF(1, q), 0.99, 1e-8)
+}
+
+// TestTruncationCrossoverMatchesPredicate pins λ* = TruncationCrossover(l)
+// to TruncationNegligible: the predicate holds at λ* and below it, fails at
+// the next float above it, and agrees with λ ≤ λ* at random (λ, limit)
+// pairs, including limits where it never holds and rates near the limit.
+func TestTruncationCrossoverMatchesPredicate(t *testing.T) {
+	limits := []float64{math.NaN(), -5, 0, 50, 100, math.Nextafter(100, 200), 100.5, 101, 150,
+		1e3, 4000, 1e6, 1e9, 1 << 53, 1e15, 1e300, math.MaxFloat64, math.Inf(1)}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 200; i++ {
+		limits = append(limits, math.Floor(math.Pow(10, 18*rng.Float64())))
+	}
+	for _, l := range limits {
+		star := TruncationCrossover(l)
+		if math.IsInf(star, -1) {
+			if TruncationNegligible(l, 0) {
+				t.Fatalf("limit %v: crossover −Inf but negligible at λ=0", l)
+			}
+		} else {
+			if !TruncationNegligible(l, star) {
+				t.Fatalf("limit %v: not negligible at its crossover %v", l, star)
+			}
+			if up := math.Nextafter(star, math.Inf(1)); TruncationNegligible(l, up) {
+				t.Fatalf("limit %v: still negligible at %v, above the crossover %v", l, up, star)
+			}
+			if down := math.Nextafter(star, 0); star > 0 && !TruncationNegligible(l, down) {
+				t.Fatalf("limit %v: not negligible at %v, below the crossover %v", l, down, star)
+			}
+		}
+		for k := 0; k < 50; k++ {
+			lambda := math.Pow(10, 28*rng.Float64()-14)
+			if k%2 == 1 && !math.IsInf(l, 0) && l > 0 {
+				lambda = l * (0.5 + rng.Float64()) // near the limit
+			}
+			if got, want := lambda <= star, TruncationNegligible(l, lambda); got != want {
+				t.Fatalf("limit %v, λ %v: λ ≤ λ* = %v, predicate %v", l, lambda, got, want)
+			}
+		}
+	}
 }

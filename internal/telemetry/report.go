@@ -64,6 +64,8 @@ type SelectReport struct {
 	Rounds        int64             `json:"rounds"`
 	CandidateFits int64             `json:"candidate_fits"`
 	TermsAccepted int64             `json:"terms_accepted"`
+	Screened      int64             `json:"screened"`
+	Polished      int64             `json:"polished"`
 	ICImprovement HistogramSnapshot `json:"ic_improvement"`
 }
 
@@ -189,6 +191,8 @@ func (r *Recorder) Report(started, finished time.Time, workers int) *Report {
 		Rounds:        r.SelectRounds.Load(),
 		CandidateFits: r.CandidateFits.Load(),
 		TermsAccepted: r.TermsAccepted.Load(),
+		Screened:      r.Screened.Load(),
+		Polished:      r.Polished.Load(),
 		ICImprovement: r.ICImprovement.Snapshot(),
 	}
 	rep.Boot = BootstrapReport{

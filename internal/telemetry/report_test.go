@@ -27,6 +27,8 @@ func populate() *Recorder {
 	r.PoolMiss()
 	r.SelectRound(12)
 	r.SelectRound(8)
+	r.CandidatesScreened(15)
+	r.CandidatesPolished(2)
 	r.TermAccepted(10.0)
 	r.SelectionDone()
 	r.BootstrapDone(100, 4)
@@ -128,6 +130,8 @@ const goldenReport = `{
     "rounds": 2,
     "candidate_fits": 20,
     "terms_accepted": 1,
+    "screened": 15,
+    "polished": 2,
     "ic_improvement": {
       "count": 1,
       "sum": 10,

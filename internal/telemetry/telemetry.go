@@ -224,6 +224,8 @@ type Recorder struct {
 	SelectRounds  Counter   // forward-stepwise rounds across searches
 	CandidateFits Counter   // candidate terms fitted across rounds
 	TermsAccepted Counter   // rounds that accepted a term
+	Screened      Counter   // candidate fits stopped early by screening
+	Polished      Counter   // screened candidate fits resumed to convergence
 	ICImprovement Histogram // IC drop per accepted term, rounded to integer IC units
 
 	// Parametric bootstrap (core.BootstrapInterval).
@@ -356,6 +358,24 @@ func (r *Recorder) SelectRound(candidates int) {
 	}
 	r.SelectRounds.Inc()
 	r.CandidateFits.Add(int64(candidates))
+}
+
+// CandidatesScreened records n candidate fits of one round that stopped
+// early by screening (stats.Lattice.Screen).
+func (r *Recorder) CandidatesScreened(n int) {
+	if r == nil {
+		return
+	}
+	r.Screened.Add(int64(n))
+}
+
+// CandidatesPolished records n screened candidate fits resumed to
+// convergence (stats.Lattice.Polish).
+func (r *Recorder) CandidatesPolished(n int) {
+	if r == nil {
+		return
+	}
+	r.Polished.Add(int64(n))
 }
 
 // TermAccepted records an accepted interaction term and the IC improvement

@@ -46,20 +46,25 @@ echo "== lattice/dense differential (-race) =="
 # §8): the differential property
 # tests are the licence for routing all engine fits through the lattice
 # path, so they run as their own named gate, race-enabled and uncached.
-# The pattern also takes in TestLatticeZetaMatchesNaive: the blocked zeta
-# transforms must equal the naive masked loop bit for bit.
-go test -race -count=1 -run 'TestLattice|TestMoments' ./internal/stats
+# The pattern also takes in TestLatticeZetaMatchesNaive (the blocked zeta
+# transforms must equal the naive masked loop bit for bit),
+# TestLatticeScreenPolishMatchesFit (a screened fit resumed by Polish must
+# equal Fit bit for bit) and TestTruncationCrossoverMatchesPredicate (the
+# kernel's per-limit crossover rate must decide exactly as the per-cell
+# negligibility test).
+go test -race -count=1 -run 'TestLattice|TestMoments|TestTruncationCrossover' ./internal/stats
 
 echo "== shared stepwise prologue (-race) =="
 # Every candidate fit of a stepwise round reads one shared start state
 # (the parent's η, log-likelihood and first score sums) instead of
-# recomputing it (DESIGN.md §8.1). The selected model, IC, coefficients,
-# fit count and IRLS iteration total must match the per-candidate
-# reference search bit for bit, at every worker count, and the
-# cancellable and parallel variants must stay bit-identical: a named gate,
-# race-enabled and uncached.
+# recomputing it, and is screened: only candidates near the round's best
+# are polished to full convergence (DESIGN.md §8.1). The selected model,
+# IC and coefficients must match the reference search, which fits every
+# candidate to full tolerance, bit for bit, with no more IRLS iterations,
+# at every worker count, and the cancellable and parallel variants must
+# stay bit-identical: a named gate, race-enabled and uncached.
 go test -race -count=1 \
-    -run 'TestSelectSharedPrologue|TestSelectModelDeterministic|TestCtxVariantsBitIdentical' \
+    -run 'TestSelectSharedPrologue|TestScreenedSelectionMatchesFullSearch|TestSelectModelDeterministic|TestCtxVariantsBitIdentical' \
     ./internal/core
 
 echo "== strata fold/Split differential (-race) =="
