@@ -173,12 +173,6 @@ func (d *GrowthData) Normalised() (routed, observed, estimated []float64) {
 	return norm(d.Routed), norm(d.Observed), norm(d.Estimated)
 }
 
-// GrowthPerYear returns the least-squares yearly growth of the estimate.
-func (d *GrowthData) GrowthPerYear(e *Env) float64 {
-	es := e.Estimates(dataset.DefaultOptions(), d.Title == "Figure 4: /24 subnets", false)
-	return LinearGrowth(es, func(w WindowEstimate) float64 { return w.Est })
-}
-
 // Render writes absolute and normalised series.
 func (d *GrowthData) Render(w io.Writer) {
 	var f report.Figure

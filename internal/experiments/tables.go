@@ -17,6 +17,7 @@ import (
 	"ghosts/internal/sources"
 	"ghosts/internal/strata"
 	"ghosts/internal/universe"
+	"ghosts/internal/unused"
 	"ghosts/internal/windows"
 )
 
@@ -479,8 +480,8 @@ func Table6(e *Env) *Table6Data {
 		}
 		row.GrowthIPs = growIP
 		row.GrowthS24 = grow24
-		row.RunoutIPs = unusedRunout(row.AvailIPs, growIP, endYear)
-		row.RunoutS24 = unusedRunout(row.AvailS24, grow24, endYear)
+		row.RunoutIPs = unused.RunoutYear(row.AvailIPs, growIP, endYear)
+		row.RunoutS24 = unused.RunoutYear(row.AvailS24, grow24, endYear)
 		row.RunoutIPsLabel = runoutLabel(row.RunoutIPs)
 		row.RunoutS24Label = runoutLabel(row.RunoutS24)
 		worldAvailIP += row.AvailIPs
@@ -493,21 +494,14 @@ func Table6(e *Env) *Table6Data {
 		RIR:       "World",
 		AvailIPs:  worldAvailIP,
 		GrowthIPs: worldGrowIP,
-		RunoutIPs: unusedRunout(worldAvailIP, worldGrowIP, endYear),
+		RunoutIPs: unused.RunoutYear(worldAvailIP, worldGrowIP, endYear),
 		AvailS24:  worldAvail24,
 		GrowthS24: worldGrow24,
-		RunoutS24: unusedRunout(worldAvail24, worldGrow24, endYear),
+		RunoutS24: unused.RunoutYear(worldAvail24, worldGrow24, endYear),
 	}
 	d.World.RunoutIPsLabel = runoutLabel(d.World.RunoutIPs)
 	d.World.RunoutS24Label = runoutLabel(d.World.RunoutS24)
 	return d
-}
-
-func unusedRunout(avail, grow, from float64) float64 {
-	if grow <= 0 {
-		return math.Inf(1)
-	}
-	return from + avail/grow
 }
 
 func seriesSlope(e *Env, series []map[string]float64, label string) float64 {

@@ -42,6 +42,6 @@
 //
 // FLEET.md documents the ring semantics, the peer-fill protocol, the
 // failure/hedging behaviour and a worked router-plus-two-workers example;
-// cmd/ghosts-loadgen drives a fleet and reports throughput and latency
-// percentiles.
+// `ghostbench --workload serve` drives a router and two peer-filling
+// workers and reports throughput and latency percentiles.
 package fleet

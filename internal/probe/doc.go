@@ -11,10 +11,9 @@
 // spacing while wall-clock time stays bounded.
 //
 // The main entry point is Census — configure the Transport, probe Kind and
-// window, then Run (or RunParallel) a sweep to collect the responding
-// address set; Classify is the §4.4 response-classification rule on its
-// own, the Capture field streams probe traffic to a pcap.Writer, and the
-// Observe hook reports each used-classified address as a timestamped
-// capture event (the active feed for the streaming ingest pipeline —
-// internal/ingest, STREAMING.md).
+// window, then Run a sweep to collect the responding address set; Classify
+// is the §4.4 response-classification rule on its own, the Capture field
+// streams probe traffic to a pcap.Writer, and the Observe hook reports each
+// used-classified address as a timestamped capture event (the active feed
+// for the streaming ingest pipeline — internal/ingest, STREAMING.md).
 package probe

@@ -271,95 +271,6 @@ func TestCensusPcapCapture(t *testing.T) {
 	}
 }
 
-func TestRunParallelMatchesSerial(t *testing.T) {
-	u := universe.New(universe.TinyConfig(4))
-	var pfx ipv4.Prefix
-	u.UsedAt(censusEnd()).Range(func(a ipv4.Addr) bool {
-		pfx = ipv4.NewPrefix(a, 18)
-		return false
-	})
-	responder := inet.NewResponder(u, 0, 7)
-	newTransport := func() (inet.Transport, error) {
-		probeEnd, netEnd := inet.NewPair(1024)
-		go inet.Serve(netEnd, responder, censusEnd)
-		return probeEnd, nil
-	}
-	c := &Census{
-		Src:   ipv4.MustParseAddr("192.0.2.1"),
-		Kind:  ICMP,
-		Start: censusEnd().AddDate(0, -6, 0),
-		End:   censusEnd(),
-		ID:    3,
-	}
-	par, err := c.RunParallel([]ipv4.Prefix{pfx}, 4, newTransport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := expectedICMP(u, pfx)
-	if par.Observed.Len() != want.Len() {
-		t.Fatalf("parallel observed %d, want %d", par.Observed.Len(), want.Len())
-	}
-	if par.Sent != int(pfx.Size()) {
-		t.Fatalf("parallel sent %d, want %d", par.Sent, pfx.Size())
-	}
-	if ipset.Diff(par.Observed, want).Len() != 0 {
-		t.Fatal("parallel census observed unexpected addresses")
-	}
-}
-
-func TestRunParallelRejectsCapture(t *testing.T) {
-	c := &Census{Capture: pcap.NewWriter(io.Discard)}
-	if _, err := c.RunParallel(nil, 2, nil); err == nil {
-		t.Fatal("capture + parallel must be rejected")
-	}
-}
-
-func TestShardTargets(t *testing.T) {
-	targets := []ipv4.Prefix{ipv4.MustParsePrefix("10.0.0.0/16")}
-	shards := shardTargets(targets, 4)
-	if len(shards) != 4 {
-		t.Fatalf("got %d shards", len(shards))
-	}
-	var total uint64
-	seen := map[ipv4.Prefix]bool{}
-	for _, sh := range shards {
-		for _, p := range sh {
-			if seen[p] {
-				t.Fatalf("prefix %v in two shards", p)
-			}
-			seen[p] = true
-			total += p.Size()
-			if !ipv4.MustParsePrefix("10.0.0.0/16").ContainsPrefix(p) {
-				t.Fatalf("shard prefix %v outside target", p)
-			}
-		}
-	}
-	if total != 1<<16 {
-		t.Fatalf("shards cover %d addresses, want %d", total, 1<<16)
-	}
-	// Balance: no shard more than twice the lightest.
-	var loads []uint64
-	for _, sh := range shards {
-		var l uint64
-		for _, p := range sh {
-			l += p.Size()
-		}
-		loads = append(loads, l)
-	}
-	lo, hi := loads[0], loads[0]
-	for _, l := range loads {
-		if l < lo {
-			lo = l
-		}
-		if l > hi {
-			hi = l
-		}
-	}
-	if hi > 2*lo {
-		t.Fatalf("unbalanced shards: %v", loads)
-	}
-}
-
 // TestCensusObserveHook: every address the census classifies as used is
 // also delivered to the Observe callback, stamped at the census end —
 // the feed contract the streaming ingest pipeline relies on.

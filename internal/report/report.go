@@ -58,24 +58,6 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// CSV writes the table as comma-separated values.
-func (t *Table) CSV(w io.Writer) {
-	write := func(cells []string) {
-		quoted := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			quoted[i] = c
-		}
-		fmt.Fprintln(w, strings.Join(quoted, ","))
-	}
-	write(t.Headers)
-	for _, row := range t.Rows {
-		write(row)
-	}
-}
-
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s
@@ -183,11 +165,6 @@ func Group(v int64) string {
 		return "-" + out
 	}
 	return out
-}
-
-// Millions renders a count as millions with one decimal ("6.3M").
-func Millions(v float64) string {
-	return strconv.FormatFloat(v/1e6, 'f', 2, 64) + "M"
 }
 
 // Percent renders a ratio as a percentage with one decimal.

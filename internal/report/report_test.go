@@ -29,17 +29,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := Table{Headers: []string{"a", "b"}}
-	tb.AddRow("x,y", `say "hi"`)
-	var sb strings.Builder
-	tb.CSV(&sb)
-	want := "a,b\n\"x,y\",\"say \"\"hi\"\"\"\n"
-	if sb.String() != want {
-		t.Fatalf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
 func TestFigureRender(t *testing.T) {
 	var f Figure
 	f.Title = "Fig"
@@ -100,9 +89,6 @@ func TestGroup(t *testing.T) {
 }
 
 func TestMillionsPercent(t *testing.T) {
-	if got := Millions(6.3e6); got != "6.30M" {
-		t.Errorf("Millions = %q", got)
-	}
 	if got := Percent(0.456); got != "45.6%" {
 		t.Errorf("Percent = %q", got)
 	}

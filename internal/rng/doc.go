@@ -1,7 +1,7 @@
 // Package rng provides a deterministic, seedable random number generator
-// and the sampling distributions the simulators need (Bernoulli, binomial,
-// Poisson, Zipf, beta). Every simulation component takes an explicit *RNG
-// so experiment runs are exactly reproducible from a seed.
+// and the sampling distributions the simulators need (Bernoulli, normal,
+// exponential, Poisson, Zipf). Every simulation component takes an
+// explicit *RNG so experiment runs are exactly reproducible from a seed.
 //
 // The main entry points are New (an xoshiro256** generator seeded through
 // splitmix64), the sampler methods on RNG, and RNG.Split, which derives an

@@ -135,102 +135,6 @@ func (r *RNG) Poisson(lambda float64) int64 {
 	return r.Poisson(half) + r.Poisson(lambda-half)
 }
 
-// Binomial returns a Binomial(n, p) variate. Exact inversion for small n,
-// otherwise a split-and-recurse on the beta-binomial decomposition keeps
-// the cost O(log n) in expectation.
-func (r *RNG) Binomial(n int64, p float64) int64 {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if p > 0.5 {
-		return n - r.Binomial(n, 1-p)
-	}
-	if n < 64 {
-		var k int64
-		for i := int64(0); i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	// BTPE would be faster; the first-waiting-time method is simple and
-	// O(np) which is fine at our simulation scales (np small or moderate).
-	if float64(n)*p < 1024 {
-		var k, i int64
-		q := math.Log(1 - p)
-		for {
-			// Geometric skip to the next success.
-			u := r.Float64()
-			skip := int64(math.Floor(math.Log(u) / q))
-			i += skip + 1
-			if i > n {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation with continuity correction for very large np;
-	// clamped to the valid range. Used only in bulk-traffic synthesis where
-	// per-variate exactness is immaterial.
-	mu := float64(n) * p
-	sd := math.Sqrt(mu * (1 - p))
-	v := math.Round(mu + sd*r.NormFloat64())
-	if v < 0 {
-		v = 0
-	}
-	if v > float64(n) {
-		v = float64(n)
-	}
-	return int64(v)
-}
-
-// Beta returns a Beta(a, b) variate via Jöhnk/gamma ratio.
-func (r *RNG) Beta(a, b float64) float64 {
-	x := r.Gamma(a)
-	y := r.Gamma(b)
-	if x+y == 0 {
-		return 0.5
-	}
-	return x / (x + y)
-}
-
-// Gamma returns a Gamma(shape, 1) variate (Marsaglia–Tsang for shape >= 1,
-// boost for shape < 1).
-func (r *RNG) Gamma(shape float64) float64 {
-	if shape <= 0 {
-		return 0
-	}
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a)
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return r.Gamma(shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
 // Zipf samples ranks in [0, n) with probability proportional to
 // 1/(rank+1)^s, by inversion on the precomputed CDF. Build one with
 // NewZipf; sampling is O(log n).

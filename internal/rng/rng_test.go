@@ -124,77 +124,6 @@ func TestPoissonZero(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	cases := []struct {
-		n int64
-		p float64
-	}{{10, 0.3}, {100, 0.01}, {1000, 0.5}, {100000, 0.001}, {1 << 22, 0.002}}
-	for _, c := range cases {
-		r := New(7)
-		const trials = 3000
-		var sum float64
-		for i := 0; i < trials; i++ {
-			v := r.Binomial(c.n, c.p)
-			if v < 0 || v > c.n {
-				t.Fatalf("Binomial(%d,%v) = %d out of range", c.n, c.p, v)
-			}
-			sum += float64(v)
-		}
-		mean := sum / trials
-		want := float64(c.n) * c.p
-		sd := math.Sqrt(want * (1 - c.p))
-		if math.Abs(mean-want) > 5*sd/math.Sqrt(trials)+0.05 {
-			t.Errorf("Binomial(%d,%v) mean = %v, want %v", c.n, c.p, mean, want)
-		}
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	r := New(8)
-	if r.Binomial(0, 0.5) != 0 || r.Binomial(10, 0) != 0 {
-		t.Fatal("degenerate binomials must be 0")
-	}
-	if r.Binomial(10, 1) != 10 {
-		t.Fatal("Binomial(n,1) must be n")
-	}
-	// p > 0.5 path
-	v := r.Binomial(100, 0.9)
-	if v < 60 || v > 100 {
-		t.Fatalf("Binomial(100,0.9) = %d implausible", v)
-	}
-}
-
-func TestGammaBetaMoments(t *testing.T) {
-	r := New(9)
-	const n = 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Gamma(2.5)
-	}
-	if mean := sum / n; math.Abs(mean-2.5) > 0.1 {
-		t.Errorf("Gamma(2.5) mean = %v", mean)
-	}
-	sum = 0
-	for i := 0; i < n; i++ {
-		v := r.Beta(2, 5)
-		if v < 0 || v > 1 {
-			t.Fatalf("Beta out of range: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-2.0/7.0) > 0.02 {
-		t.Errorf("Beta(2,5) mean = %v, want %v", mean, 2.0/7.0)
-	}
-	// shape < 1 boost path
-	sum = 0
-	for i := 0; i < n; i++ {
-		sum += r.Gamma(0.5)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.05 {
-		t.Errorf("Gamma(0.5) mean = %v", mean)
-	}
-}
-
 func TestZipfShape(t *testing.T) {
 	r := New(10)
 	z := NewZipf(r, 100, 1.0)
@@ -249,12 +178,5 @@ func BenchmarkPoissonSmall(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		r.Poisson(4)
-	}
-}
-
-func BenchmarkBinomialLarge(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		r.Binomial(1<<20, 0.0005)
 	}
 }

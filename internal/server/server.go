@@ -370,7 +370,7 @@ type loadEnvelope struct {
 
 // handleLoadz is GET /v1/loadz: the worker's live saturation snapshot —
 // compute-slot and admission-queue occupancy plus cache fill — for the
-// fleet router's shed/hedge decisions and the loadgen report.
+// fleet router's shed/hedge decisions.
 func (s *Server) handleLoadz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, loadEnvelope{
 		API:   serve.APIVersion,

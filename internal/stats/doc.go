@@ -13,6 +13,6 @@
 // lattice: subset-indicator designs fitted by zeta transforms, reusable
 // Workspace, warm-start coefficients), TruncPoisson (truncated
 // mean/variance, §3.3.1), ChiSquare1Quantile (the profile-interval cutoff,
-// §3.3.3), and the dense solvers Solve / SolveSPD. The dense row-major
+// §3.3.3), and the dense solver Solve. The dense row-major
 // GLM kernel lives in the package tests as the lattice kernel's oracle.
 package stats

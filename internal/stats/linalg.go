@@ -61,45 +61,13 @@ func Solve(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveSPD solves A x = b for a symmetric positive-definite A via Cholesky
-// decomposition; when A is not numerically SPD it retries with a small
-// ridge on the diagonal and finally falls back to Solve. Fisher-scoring
+// solveSPDFlat solves A x = b for a symmetric positive-definite A via
+// Cholesky decomposition; when A is not numerically SPD it retries with a
+// small ridge on the diagonal and finally falls back to Solve. Fisher-scoring
 // normal equations XᵀWX u = Xᵀr are SPD whenever the design has full rank.
-func SolveSPD(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 || len(b) != n {
-		return nil, errors.New("stats: dimension mismatch")
-	}
-	for _, ridge := range []float64{0, 1e-10, 1e-7, 1e-4} {
-		l, ok := cholesky(a, ridge)
-		if !ok {
-			continue
-		}
-		// Solve L y = b, then Lᵀ x = y.
-		y := make([]float64, n)
-		for i := 0; i < n; i++ {
-			s := b[i]
-			for j := 0; j < i; j++ {
-				s -= l[i][j] * y[j]
-			}
-			y[i] = s / l[i][i]
-		}
-		x := make([]float64, n)
-		for i := n - 1; i >= 0; i-- {
-			s := y[i]
-			for j := i + 1; j < n; j++ {
-				s -= l[j][i] * x[j]
-			}
-			x[i] = s / l[i][i]
-		}
-		return x, nil
-	}
-	return Solve(a, b)
-}
-
-// solveSPDFlat is SolveSPD over flat row-major storage with caller-supplied
-// scratch: a is the n×n system (len n*n, unmodified), x receives the
-// solution, and l (len n*n) holds the Cholesky factor. Nothing is
+// Storage is flat row-major with caller-supplied scratch: a is the n×n
+// system (len n*n, unmodified), x receives the solution, and l (len n*n)
+// holds the Cholesky factor. Nothing is
 // allocated on the SPD fast path, so the Fisher-scoring loop can call it
 // every iteration; the non-SPD fallback to Solve is rare and may allocate.
 func solveSPDFlat(a []float64, n int, b, x, l []float64) error {
@@ -169,47 +137,4 @@ func choleskyFlat(a []float64, n int, ridge float64, l []float64) bool {
 		}
 	}
 	return true
-}
-
-// cholesky computes the lower factor of a + ridge·I, reporting failure when
-// a diagonal pivot is non-positive.
-func cholesky(a [][]float64, ridge float64) ([][]float64, bool) {
-	n := len(a)
-	l := make([][]float64, n)
-	for i := range l {
-		l[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a[i][j]
-			if i == j {
-				s += ridge
-			}
-			for k := 0; k < j; k++ {
-				s -= l[i][k] * l[j][k]
-			}
-			if i == j {
-				if s <= 0 || math.IsNaN(s) {
-					return nil, false
-				}
-				l[i][j] = math.Sqrt(s)
-			} else {
-				l[i][j] = s / l[j][j]
-			}
-		}
-	}
-	return l, true
-}
-
-// MatVec returns A x.
-func MatVec(a [][]float64, x []float64) []float64 {
-	out := make([]float64, len(a))
-	for i, row := range a {
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
 }

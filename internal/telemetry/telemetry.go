@@ -137,42 +137,6 @@ type HistogramSnapshot struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Quantile returns an upper bound on the q-quantile of the observations:
-// the upper bound of the power-of-two bucket holding the ⌈q·count⌉-th
-// smallest value, clamped to the observed maximum. It is coarse by design
-// (buckets double), but monotone in q and cheap enough for a load
-// generator to derive p50/p99 from the same histograms the run report
-// snapshots. Returns 0 when the histogram is empty; q is clamped to (0,1].
-func (h *Histogram) Quantile(q float64) int64 { return h.Snapshot().Quantile(q) }
-
-// Quantile is Histogram.Quantile over a snapshot.
-func (s HistogramSnapshot) Quantile(q float64) int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		q = 1e-9
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(s.Count))
-	if float64(target) < q*float64(s.Count) || target == 0 {
-		target++
-	}
-	var cum int64
-	for _, b := range s.Buckets {
-		cum += b.N
-		if cum >= target {
-			if b.Le > s.Max {
-				return s.Max
-			}
-			return b.Le
-		}
-	}
-	return s.Max
-}
-
 // Snapshot copies the histogram's current state, keeping only non-empty
 // buckets (in ascending bound order, so the output is deterministic).
 func (h *Histogram) Snapshot() HistogramSnapshot {
@@ -604,7 +568,7 @@ func (r *Recorder) WatchDeltaEmitted() {
 // GateSlots moves the slot-occupancy gauge: +1 when the admission gate
 // hands out a compute slot, −1 when it is released. The gauge is the
 // per-instance saturation signal the fleet router's shed/hedge decisions
-// and the loadgen report read (one Gate per process in practice).
+// read (one Gate per process in practice).
 func (r *Recorder) GateSlots(delta int64) {
 	if r == nil {
 		return

@@ -345,13 +345,3 @@ func (u *Universe) RoutedAllocs(t time.Time) []int {
 	}
 	return out
 }
-
-// AllocProfileFor exposes read-only usage parameters for an allocation
-// index (used by the probe responder to decide RST-vs-silence behaviour).
-func (u *Universe) AllocProfileFor(a ipv4.Addr) (fwDrop float64, routed bool) {
-	idx := u.Reg.LookupIndex(a)
-	if idx < 0 {
-		return 1, false
-	}
-	return u.profiles[idx].fwDrop, u.profiles[idx].routed
-}

@@ -21,6 +21,22 @@ if [ -n "$UNDOC" ]; then
     echo "$UNDOC" >&2
     exit 1
 fi
+# Every cmd/, examples/, internal/ and scripts/*.sh path that the docs,
+# code comments or scripts name must exist, so a deleted binary or file
+# leaves no stale pointer behind. A Go qualified name (internal/fleet.Router)
+# names its package directory. The root changelog, roadmap and issue
+# statement are history and plans: they name removed paths on purpose.
+STALE="$( { git grep -onE '(^|[^A-Za-z0-9_./-])(\./)?((cmd|examples|internal)/[A-Za-z0-9_.-]+(/[A-Za-z0-9_.-]+)*|scripts/[A-Za-z0-9_-]+\.sh)' \
+        -- '*.md' '*.go' '*.sh' || true; } \
+    | sed -E '/^(CHANGES|ROADMAP|ISSUE)\.md:/d; s/^([^:]*:[0-9]+:)[^A-Za-z.]?(\.\/)?/\1/; s/\.+$//; s/\.[A-Z][A-Za-z0-9_]*$//' \
+    | while IFS=: read -r file line path; do
+        [ -e "$path" ] || echo "$file:$line: $path does not exist"
+    done)"
+if [ -n "$STALE" ]; then
+    echo "stale paths:" >&2
+    echo "$STALE" >&2
+    exit 1
+fi
 
 echo "== go test -race =="
 go test -race ./...

@@ -15,7 +15,8 @@ wait_base() {
 
 # bench_baseline [exclude]: print the newest core benchmark snapshot in
 # the current directory — BENCH_YYYY-MM-DD.json or BENCH_YYYY-MM-DD.N.json,
-# never a .telemetry/.serve/.stream/.fleet companion — other than exclude
+# never an .ab verdict or an older .telemetry/.serve/.stream/.fleet
+# record — other than exclude
 # (the file just written). Snapshots are ordered by the date in the name,
 # then by the same-day suffix (none, .2, .3, ...), never by mtime: a fresh
 # checkout gives every file the same mtime. Prints nothing if none exists.
