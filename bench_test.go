@@ -13,6 +13,7 @@ package ghosts
 // pipeline), so the first benchmark touching a pipeline pays its cost.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -238,7 +239,7 @@ func BenchmarkSelectModel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := core.SelectModel(tb, opt)
+		m, _, err := core.SelectModelCtx(context.Background(), tb, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func BenchmarkProfileInterval(b *testing.B) {
 		IC: core.BIC, Divisor: core.Adaptive1000,
 		Limit: limit, MaxTerms: 3, MaxOrder: 2,
 	}
-	m, _, err := core.SelectModel(tb, opt)
+	m, _, err := core.SelectModelCtx(context.Background(), tb, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func BenchmarkProfileInterval(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		iv, err := core.ProfileInterval(tb, fit, limit, 1e-7, limit)
+		iv, err := core.ProfileIntervalScaledCtx(context.Background(), tb, fit, limit, 1e-7, limit, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +287,7 @@ func BenchmarkStratSeries(b *testing.B) {
 	lt := e.LabelTable(strata.ByPrefix)
 	b.Run("fold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hs := strata.CaptureHistograms(lt, bundle.Sets)
+			hs := strata.CaptureHistogramsAll([]*strata.LabelTable{lt}, bundle.Sets)[0]
 			n := 0
 			hs.Range(func(string, []int64) bool { n++; return true })
 			b.ReportMetric(float64(n), "strata")
@@ -317,7 +318,7 @@ func BenchmarkAblationDivisor(b *testing.B) {
 			est := core.NewEstimator(s.IC, s.Divisor, float64(bundle.RoutedAddrs))
 			est.MaxTerms = 3
 			est.MaxOrder = 2
-			res, err := est.EstimatePoint(tb)
+			res, err := est.Run(context.Background(), tb, core.RunOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -335,11 +336,11 @@ func BenchmarkAblationTruncation(b *testing.B) {
 	bundle := e.Bundle(10, dataset.DefaultOptions())
 	tb := core.TableFromSets(bundle.Sets, bundle.NameStrings())
 	for i := 0; i < b.N; i++ {
-		plain, err := e.Estimator(math.Inf(1)).EstimatePoint(tb)
+		plain, err := e.Estimator(math.Inf(1)).Run(context.Background(), tb, core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		trunc, err := e.Estimator(float64(bundle.RoutedAddrs)).EstimatePoint(tb)
+		trunc, err := e.Estimator(float64(bundle.RoutedAddrs)).Run(context.Background(), tb, core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,7 +381,7 @@ func BenchmarkAblationLP(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		llm, err := e.Estimator(float64(bundle.RoutedAddrs)).EstimatePoint(tb)
+		llm, err := e.Estimator(float64(bundle.RoutedAddrs)).Run(context.Background(), tb, core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -398,7 +399,10 @@ func BenchmarkCrossValidation(b *testing.B) {
 	est.MaxTerms = 3
 	est.MaxOrder = 2
 	for i := 0; i < b.N; i++ {
-		res := crossval.Run(bundle.Names, bundle.Sets, est, false)
+		res, err := crossval.Run(context.Background(), bundle.Names, bundle.Sets, est, false)
+		if err != nil {
+			b.Fatal(err)
+		}
 		rmse, mae := crossval.Errors(res)
 		b.ReportMetric(rmse, "rmse")
 		b.ReportMetric(mae, "mae")

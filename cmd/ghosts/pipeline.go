@@ -122,7 +122,7 @@ func estimate(dir string, jsonOut bool) error {
 	t.Render(os.Stdout)
 
 	est := core.DefaultEstimator(limit)
-	res, err := est.Estimate(tb)
+	res, err := est.Run(context.Background(), tb, core.RunOptions{Interval: true})
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -91,7 +92,7 @@ func main() {
 	sets := []*ipset.Set{icmp.Observed, tcp.Observed, webHere}
 	tb := core.TableFromSets(sets, []string{"IPING", "TPING", "WEB"})
 	est := core.DefaultEstimator(float64(target.Size()))
-	res, err := est.Estimate(tb)
+	res, err := est.Run(context.Background(), tb, core.RunOptions{Interval: true})
 	if err != nil {
 		panic(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -68,7 +69,7 @@ func main() {
 	// sample like this one (the paper's BIC-adaptive default is tuned for
 	// its noisy multi-source measurement data, §5.1).
 	est := core.NewEstimator(core.AIC, core.Fixed1, math.Inf(1))
-	res, err := est.Estimate(tb)
+	res, err := est.Run(context.Background(), tb, core.RunOptions{Interval: true})
 	if err != nil {
 		panic(err)
 	}
@@ -76,7 +77,7 @@ func main() {
 		res.N, modelTerms(res.Model), res.Interval.Lo, res.Interval.Hi)
 	fmt.Printf("  ghosts (unseen): %.0f\n", res.Unseen)
 
-	paper, err := core.DefaultEstimator(math.Inf(1)).Estimate(tb)
+	paper, err := core.DefaultEstimator(math.Inf(1)).Run(context.Background(), tb, core.RunOptions{Interval: true})
 	if err != nil {
 		panic(err)
 	}
@@ -87,13 +88,11 @@ func main() {
 	dep := core.Dependence(tb)
 	fmt.Printf("Pairwise dependence (log odds ratios): PINGxLOG-A %+.2f, LOG-AxLOG-B %+.2f\n",
 		dep[0][1], dep[1][2])
-	fit, err := core.FitModel(tb, res.Model, math.Inf(1), 1)
-	if err != nil {
-		panic(err)
-	}
-	gof := core.GoodnessOfFit(tb, fit)
+	// res.Fit is the selected model's fit; no source is empty, so it is
+	// a fit on tb itself.
+	gof := core.GoodnessOfFit(tb, res.Fit)
 	fmt.Printf("Goodness of fit: deviance %.1f on %d df (p = %.3f)\n", gof.Deviance, gof.DF, gof.PValue)
-	if bi, err := core.BootstrapInterval(tb, fit, math.Inf(1), 200, 0.95, 7); err == nil {
+	if bi, err := core.BootstrapIntervalCtx(context.Background(), tb, res.Fit, math.Inf(1), 200, 0.95, 7); err == nil {
 		fmt.Printf("Bootstrap 95%% interval (Poisson noise only): [%.0f, %.0f]\n\n", bi.Lo, bi.Hi)
 	}
 

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -57,11 +58,11 @@ func main() {
 	}
 
 	est := core.DefaultEstimator(math.Inf(1))
-	secure, err := est.Estimate(tb)
+	secure, err := est.Run(context.Background(), tb, core.RunOptions{Interval: true})
 	if err != nil {
 		panic(err)
 	}
-	plain, err := est.Estimate(core.TableFromSets(sets, nil))
+	plain, err := est.Run(context.Background(), core.TableFromSets(sets, nil), core.RunOptions{})
 	if err != nil {
 		panic(err)
 	}

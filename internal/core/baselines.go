@@ -17,12 +17,6 @@ func LincolnPetersen(m, c, r int64) float64 {
 	return float64(m) * float64(c) / float64(r)
 }
 
-// Chapman computes the bias-corrected small-sample variant
-// (M+1)(C+1)/(R+1) − 1, which stays finite for R = 0.
-func Chapman(m, c, r int64) float64 {
-	return float64(m+1)*float64(c+1)/float64(r+1) - 1
-}
-
 // LincolnPetersenPair applies the two-sample estimator to sources i and j
 // of a table, ignoring all other sources. Under positive (apparent) source
 // dependence it underestimates; under negative dependence it overestimates

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestBootstrapIntervalBracketsEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err := BootstrapInterval(tb, fit, math.Inf(1), 200, 0.95, 7)
+	iv, err := BootstrapIntervalCtx(context.Background(), tb, fit, math.Inf(1), 200, 0.95, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestBootstrapIntervalCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		iv, err := BootstrapInterval(tb, fit, math.Inf(1), 120, 0.90, uint64(i))
+		iv, err := BootstrapIntervalCtx(context.Background(), tb, fit, math.Inf(1), 120, 0.90, uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func TestBootstrapIntervalRespectsLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err := BootstrapInterval(tb, fit, limit, 100, 0.95, 3)
+	iv, err := BootstrapIntervalCtx(context.Background(), tb, fit, limit, 100, 0.95, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestBootstrapIntervalPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err := BootstrapInterval(tb, fit, math.Inf(1), 200, 0.95, 7)
+	iv, err := BootstrapIntervalCtx(context.Background(), tb, fit, math.Inf(1), 200, 0.95, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestBootstrapIntervalPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv2, err := BootstrapInterval(tb2, fit2, limit, 100, 0.95, 3)
+	iv2, err := BootstrapIntervalCtx(context.Background(), tb2, fit2, limit, 100, 0.95, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +122,10 @@ func TestBootstrapIntervalErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BootstrapInterval(tb, fit, math.Inf(1), 5, 0.95, 1); err == nil {
+	if _, err := BootstrapIntervalCtx(context.Background(), tb, fit, math.Inf(1), 5, 0.95, 1); err == nil {
 		t.Fatal("too few replicates accepted")
 	}
-	if _, err := BootstrapInterval(tb, fit, math.Inf(1), 100, 1.5, 1); err == nil {
+	if _, err := BootstrapIntervalCtx(context.Background(), tb, fit, math.Inf(1), 100, 1.5, 1); err == nil {
 		t.Fatal("bad confidence accepted")
 	}
 }

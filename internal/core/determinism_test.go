@@ -24,7 +24,7 @@ func TestSelectModelDeterministicAcrossWorkers(t *testing.T) {
 	opt := SelectionOptions{IC: AIC, Divisor: Fixed10, Limit: math.Inf(1)}
 
 	parallel.SetWorkers(1)
-	serialModel, serialIC, err := SelectModel(tb, opt)
+	serialModel, serialIC, err := SelectModelCtx(context.Background(), tb, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSelectModelDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 8} {
 		parallel.SetWorkers(workers)
-		m, ic, err := SelectModel(tb, opt)
+		m, ic, err := SelectModelCtx(context.Background(), tb, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,12 +66,12 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 	est := NewEstimator(BIC, Adaptive1000, math.Inf(1))
 
 	parallel.SetWorkers(1)
-	serial, err := est.Estimate(tb)
+	serial, err := est.Run(context.Background(), tb, RunOptions{Interval: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel.SetWorkers(8)
-	par, err := est.Estimate(tb)
+	par, err := est.Run(context.Background(), tb, RunOptions{Interval: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestBootstrapDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	parallel.SetWorkers(1)
-	serial, err := BootstrapInterval(tb, fit, math.Inf(1), 60, 0.9, 5)
+	serial, err := BootstrapIntervalCtx(context.Background(), tb, fit, math.Inf(1), 60, 0.9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel.SetWorkers(8)
-	par, err := BootstrapInterval(tb, fit, math.Inf(1), 60, 0.9, 5)
+	par, err := BootstrapIntervalCtx(context.Background(), tb, fit, math.Inf(1), 60, 0.9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,67 +170,6 @@ func (c *budgetCtx) Err() error {
 	return nil
 }
 
-// TestCtxVariantsBitIdentical pins the contract that makes the ctx-aware
-// entry points safe to adopt everywhere: with a context that is never
-// canceled they must produce bit-identical results to the legacy calls —
-// same model, same IC bits, same interval bits.
-func TestCtxVariantsBitIdentical(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	parallel.SetWorkers(4)
-	r := rng.New(909)
-	tb := sampleTable(r, 120000, []float64{0.2, 0.3, 0.25, 0.15}, nil, 0)
-	ctx := context.Background()
-
-	opt := SelectionOptions{IC: BIC, Divisor: Adaptive1000, Limit: math.Inf(1)}
-	m1, ic1, err1 := SelectModel(tb, opt)
-	m2, ic2, err2 := SelectModelCtx(ctx, tb, opt)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(m1.Terms, m2.Terms) || m1.T != m2.T || ic1 != ic2 {
-		t.Fatalf("SelectModelCtx (%v, %v) differs from SelectModel (%v, %v)", m2.Terms, ic2, m1.Terms, ic1)
-	}
-
-	est := NewEstimator(BIC, Adaptive1000, math.Inf(1))
-	res1, err1 := est.Estimate(tb)
-	res2, err2 := est.EstimateCtx(ctx, tb)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(res1, res2) {
-		t.Fatalf("EstimateCtx result differs:\nctx:    %+v\nlegacy: %+v", res2, res1)
-	}
-	p1, err1 := est.EstimatePoint(tb)
-	p2, err2 := est.EstimatePointCtx(ctx, tb)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(p1, p2) {
-		t.Fatalf("EstimatePointCtx result differs")
-	}
-
-	fit, err := FitModel(tb, IndependenceModel(tb.T), math.Inf(1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err1 := BootstrapInterval(tb, fit, math.Inf(1), 40, 0.9, 5)
-	b2, err2 := BootstrapIntervalCtx(ctx, tb, fit, math.Inf(1), 40, 0.9, 5)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if b1 != b2 {
-		t.Fatalf("BootstrapIntervalCtx %+v differs from BootstrapInterval %+v", b2, b1)
-	}
-	iv1, err1 := ProfileIntervalScaled(tb, fit, math.Inf(1), 1e-7, math.Inf(1), 1)
-	iv2, err2 := ProfileIntervalScaledCtx(ctx, tb, fit, math.Inf(1), 1e-7, math.Inf(1), 1)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if iv1 != iv2 {
-		t.Fatalf("ProfileIntervalScaledCtx %+v differs from ProfileIntervalScaled %+v", iv2, iv1)
-	}
-}
-
 // TestCanceledContextAborts: a context that is dead on arrival must stop
 // every ctx-aware entry point before any work, returning its error.
 func TestCanceledContextAborts(t *testing.T) {
@@ -247,11 +186,11 @@ func TestCanceledContextAborts(t *testing.T) {
 		t.Fatalf("SelectModelCtx err = %v, want context.Canceled", err)
 	}
 	est := NewEstimator(AIC, Fixed10, math.Inf(1))
-	if _, err := est.EstimateCtx(ctx, tb); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EstimateCtx err = %v, want context.Canceled", err)
+	if _, err := est.Run(ctx, tb, RunOptions{Interval: true}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
-	if _, err := est.EstimatePointCtx(ctx, tb); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EstimatePointCtx err = %v, want context.Canceled", err)
+	if _, err := est.Run(ctx, tb, RunOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run (point) err = %v, want context.Canceled", err)
 	}
 	if _, err := BootstrapIntervalCtx(ctx, tb, fit, math.Inf(1), 40, 0.9, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("BootstrapIntervalCtx err = %v, want context.Canceled", err)
@@ -280,8 +219,8 @@ func TestCancellationStopsAtCheckpoint(t *testing.T) {
 		}
 	}
 	est := NewEstimator(AIC, Fixed10, math.Inf(1))
-	if _, err := est.EstimateCtx(newBudgetCtx(5), tb); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EstimateCtx err = %v, want context.Canceled", err)
+	if _, err := est.Run(newBudgetCtx(5), tb, RunOptions{Interval: true}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
 	fit, err := FitModel(tb, IndependenceModel(tb.T), math.Inf(1), 1)
 	if err != nil {

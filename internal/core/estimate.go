@@ -47,64 +47,39 @@ type Result struct {
 	Model    Model
 	IC       float64
 	Divisor  float64
+	// Fit is the selected model's final divisor-1 fit, on the table with
+	// its empty sources dropped. A sweep over adjacent tables hands it
+	// back as RunOptions.Warm for the next one.
+	Fit *FitResult
+	// WarmStarted reports whether Fit was seeded from RunOptions.Warm.
+	WarmStarted bool
 }
 
-// Estimate selects and fits a log-linear model for the table and returns
-// the population estimate with its profile-likelihood interval.
-func (e *Estimator) Estimate(tb *Table) (*Result, error) {
-	return e.estimate(context.Background(), tb, true)
+// RunOptions selects what Run computes beyond the point estimate.
+type RunOptions struct {
+	// Interval adds the profile-likelihood interval, the expensive part.
+	Interval bool
+	// Warm is the previous table's Result.Fit in a sweep over adjacent
+	// tables (consecutive observation windows), or nil. When it converged
+	// and its model equals the one selected for this table, the final IRLS
+	// fit seeds from its coefficients instead of the flat default. Model
+	// selection itself is never warm-started across tables, so the
+	// selected model, and hence which path runs, does not depend on Warm.
+	Warm *FitResult
 }
 
-// EstimatePoint is Estimate without the profile interval, for hot loops
-// (per-stratum and cross-validation fits).
-func (e *Estimator) EstimatePoint(tb *Table) (*Result, error) {
-	return e.estimate(context.Background(), tb, false)
-}
-
-// EstimateCtx is Estimate with cooperative cancellation: the model search
-// checks ctx between stepwise rounds and candidate fits, and the profile
-// interval between likelihood evaluations. A canceled context surfaces as
-// ctx.Err(); a never-canceled context yields a result bit-identical to
-// Estimate.
-func (e *Estimator) EstimateCtx(ctx context.Context, tb *Table) (*Result, error) {
-	return e.estimate(ctx, tb, true)
-}
-
-// EstimatePointCtx is EstimatePoint with cooperative cancellation.
-func (e *Estimator) EstimatePointCtx(ctx context.Context, tb *Table) (*Result, error) {
-	return e.estimate(ctx, tb, false)
-}
-
-// EstimateSweep is Estimate for sweeps over adjacent tables (consecutive
-// observation windows): it returns the final fit alongside the result so
-// the caller can hand it back as warm for the next table. When warm is
-// non-nil and its model equals the one selected for tb, the final IRLS fit
-// seeds from warm's coefficients instead of the flat default — model
-// selection itself is never warm-started across tables, so the selected
-// model (and hence which path runs) is unaffected. Pass warm=nil for the
-// first table of a sweep.
-func (e *Estimator) EstimateSweep(tb *Table, warm *FitResult) (*Result, *FitResult, error) {
-	return e.estimateFull(context.Background(), tb, true, warm)
-}
-
-// EstimateSweepPoint is EstimateSweep without the profile interval, for
-// the per-stratum series loops.
-func (e *Estimator) EstimateSweepPoint(tb *Table, warm *FitResult) (*Result, *FitResult, error) {
-	return e.estimateFull(context.Background(), tb, false, warm)
-}
-
-func (e *Estimator) estimate(ctx context.Context, tb *Table, wantInterval bool) (*Result, error) {
-	res, _, err := e.estimateFull(ctx, tb, wantInterval, nil)
-	return res, err
-}
-
-func (e *Estimator) estimateFull(ctx context.Context, tb *Table, wantInterval bool, warm *FitResult) (*Result, *FitResult, error) {
+// Run selects and fits a log-linear model for the table and returns the
+// population estimate, with its profile-likelihood interval when
+// opts.Interval is set. The model search checks ctx between stepwise
+// rounds and candidate fits, and the profile interval between likelihood
+// evaluations; a canceled context surfaces as ctx.Err().
+func (e *Estimator) Run(ctx context.Context, tb *Table, opts RunOptions) (*Result, error) {
 	if tb == nil || tb.Observed() == 0 {
-		return nil, nil, errors.New("core: empty table")
+		return nil, errors.New("core: empty table")
 	}
 	work, keep := tb.DropEmptySources()
 	if len(keep) < 2 {
-		return nil, nil, ErrTooFewSources
+		return nil, ErrTooFewSources
 	}
 	limit := e.Limit
 	if limit <= 0 {
@@ -119,33 +94,35 @@ func (e *Estimator) estimateFull(ctx context.Context, tb *Table, wantInterval bo
 	}
 	model, ic, err := SelectModelCtx(ctx, work, opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var init []float64
-	if warm != nil && warm.Converged && warm.Model.Equal(model) && len(warm.Coef) == model.NumParams() {
-		init = warm.Coef
+	if w := opts.Warm; w != nil && w.Converged && w.Model.Equal(model) && len(w.Coef) == model.NumParams() {
+		init = w.Coef
 		telemetry.Active().SweepWarmStart()
 	}
 	fit, err := fitModelInit(work, model, limit, 1, init)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n := fit.N
 	if !math.IsInf(limit, 1) && n > limit {
 		n = limit
 	}
 	res := &Result{
-		Observed: work.Observed(),
-		Unseen:   n - float64(work.Observed()),
-		N:        n,
-		Model:    model,
-		IC:       ic,
-		Divisor:  e.Divisor.divisor(work),
+		Observed:    work.Observed(),
+		Unseen:      n - float64(work.Observed()),
+		N:           n,
+		Model:       model,
+		IC:          ic,
+		Divisor:     e.Divisor.divisor(work),
+		Fit:         fit,
+		WarmStarted: init != nil,
 	}
-	if wantInterval {
+	if opts.Interval {
 		alpha := e.Alpha
 		if alpha <= 0 {
 			alpha = 1e-7
@@ -154,7 +131,7 @@ func (e *Estimator) estimateFull(ctx context.Context, tb *Table, wantInterval bo
 		// Numerical failures degrade to a point estimate without an
 		// interval, but a cancellation must abandon the whole request.
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
+			return nil, cerr
 		}
 		if err == nil {
 			if !math.IsInf(limit, 1) && iv.Hi > limit {
@@ -163,7 +140,14 @@ func (e *Estimator) estimateFull(ctx context.Context, tb *Table, wantInterval bo
 			res.Interval = iv
 		}
 	}
-	return res, fit, nil
+	return res, nil
+}
+
+// EstimatePoint is Run without an interval or warm start, under a
+// context that never cancels. It exists only for the ghostbench harness,
+// which calls it by name; everything else calls Run.
+func (e *Estimator) EstimatePoint(tb *Table) (*Result, error) {
+	return e.Run(context.Background(), tb, RunOptions{})
 }
 
 // StratumTable pairs a stratum label with its contingency table and
@@ -214,7 +198,7 @@ func (e *Estimator) EstimateStratified(strata []StratumTable, minObserved int64)
 		if st.Limit > 0 {
 			sub.Limit = st.Limit
 		}
-		res, err := sub.EstimatePoint(st.Table)
+		res, err := sub.Run(context.Background(), st.Table, RunOptions{})
 		if err != nil {
 			// A stratum whose table is degenerate (e.g. one source only)
 			// falls back to its observed count: CR cannot see past it.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -14,7 +15,7 @@ func TestEstimateRecoversTruth(t *testing.T) {
 	const n = 150000
 	tb := sampleTable(r, n, []float64{0.3, 0.25, 0.2, 0.35}, nil, 0)
 	est := NewEstimator(AIC, Fixed1, math.Inf(1))
-	res, err := est.Estimate(tb)
+	res, err := est.Run(context.Background(), tb, RunOptions{Interval: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestEstimateBeatsObservedAndPing(t *testing.T) {
 	hot := []float64{0.8, 0.35, 0.3, 0.4}
 	tb := sampleTable(r, n, base, hot, 0.2)
 	est := DefaultEstimator(math.Inf(1))
-	res, err := est.Estimate(tb)
+	res, err := est.Run(context.Background(), tb, RunOptions{Interval: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestEstimateTruncationClampsToLimit(t *testing.T) {
 	const n = 50000
 	tb := sampleTable(r, n, []float64{0.1, 0.12, 0.09}, nil, 0)
 	est := DefaultEstimator(float64(n) * 1.05)
-	res, err := est.Estimate(tb)
+	res, err := est.Run(context.Background(), tb, RunOptions{Interval: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +73,10 @@ func TestEstimateTruncationClampsToLimit(t *testing.T) {
 
 func TestEstimateEmptyTable(t *testing.T) {
 	est := DefaultEstimator(math.Inf(1))
-	if _, err := est.Estimate(nil); err == nil {
+	if _, err := est.Run(context.Background(), nil, RunOptions{Interval: true}); err == nil {
 		t.Fatal("nil table should fail")
 	}
-	if _, err := est.Estimate(NewTable(3)); err == nil {
+	if _, err := est.Run(context.Background(), NewTable(3), RunOptions{Interval: true}); err == nil {
 		t.Fatal("empty table should fail")
 	}
 }
@@ -95,11 +96,11 @@ func TestEstimateOneSource(t *testing.T) {
 	telemetry.Enable(rec)
 	defer telemetry.Disable()
 	est := DefaultEstimator(math.Inf(1))
-	if _, err := est.Estimate(oneSourceTable()); !errors.Is(err, ErrTooFewSources) {
+	if _, err := est.Run(context.Background(), oneSourceTable(), RunOptions{Interval: true}); !errors.Is(err, ErrTooFewSources) {
 		t.Fatalf("err = %v, want ErrTooFewSources", err)
 	}
-	if _, _, err := est.EstimateSweepPoint(oneSourceTable(), nil); !errors.Is(err, ErrTooFewSources) {
-		t.Fatalf("sweep err = %v, want ErrTooFewSources", err)
+	if _, err := est.Run(context.Background(), oneSourceTable(), RunOptions{}); !errors.Is(err, ErrTooFewSources) {
+		t.Fatalf("point err = %v, want ErrTooFewSources", err)
 	}
 	if got := rec.Fits.Load(); got != 0 {
 		t.Fatalf("%d fits ran for a one-source table, want 0", got)
@@ -145,7 +146,7 @@ func TestEstimateDropsEmptySources(t *testing.T) {
 		big.Counts[ns] = tb.Counts[s]
 	}
 	est := NewEstimator(AIC, Fixed1, math.Inf(1))
-	res, err := est.Estimate(big)
+	res, err := est.Run(context.Background(), big, RunOptions{Interval: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestProfileIntervalWarmStartTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ProfileInterval(tb, fit, math.Inf(1), 1e-7, math.Inf(1)); err != nil {
+	if _, err := ProfileIntervalScaledCtx(context.Background(), tb, fit, math.Inf(1), 1e-7, math.Inf(1), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Fits.Load(); got == 0 {
@@ -227,11 +228,11 @@ func TestProfileIntervalWidensWithAlpha(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := ProfileInterval(tb, fit, math.Inf(1), 0.05, math.Inf(1))
+	narrow, err := ProfileIntervalScaledCtx(context.Background(), tb, fit, math.Inf(1), 0.05, math.Inf(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := ProfileInterval(tb, fit, math.Inf(1), 1e-7, math.Inf(1))
+	wide, err := ProfileIntervalScaledCtx(context.Background(), tb, fit, math.Inf(1), 1e-7, math.Inf(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,15 +252,8 @@ func TestBaselines(t *testing.T) {
 	if math.Abs(lp-100000) > 500 {
 		t.Fatalf("L-P on exact independent data = %v, want ≈100000", lp)
 	}
-	ch := Chapman(tb.SourceTotal(0), tb.SourceTotal(1), tb.PairOverlap(0, 1))
-	if math.Abs(ch-lp) > 5 {
-		t.Fatalf("Chapman %v should be close to L-P %v here", ch, lp)
-	}
 	if LincolnPetersen(10, 10, 0) != math.Inf(1) {
 		t.Fatal("L-P with zero overlap must be +Inf")
-	}
-	if Chapman(10, 10, 0) != 120 {
-		t.Fatalf("Chapman(10,10,0) = %v, want 120", Chapman(10, 10, 0))
 	}
 	// Chao is a lower bound for heterogeneous populations.
 	r := rng.New(19)
@@ -293,7 +287,7 @@ func BenchmarkEstimateFourSources(b *testing.B) {
 	est := NewEstimator(BIC, Adaptive1000, math.Inf(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimatePoint(tb); err != nil {
+		if _, err := est.Run(context.Background(), tb, RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,7 +301,7 @@ func BenchmarkSelectModelNineSources(b *testing.B) {
 	opt := SelectionOptions{IC: BIC, Divisor: Adaptive1000, Limit: math.Inf(1), MaxTerms: 6, MaxOrder: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SelectModel(tb, opt); err != nil {
+		if _, _, err := SelectModelCtx(context.Background(), tb, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -359,5 +353,72 @@ func TestSampleCoverageHeterogeneous(t *testing.T) {
 	}
 	if sc >= truth {
 		t.Fatalf("SC = %v should underestimate truth %v under heterogeneity", sc, float64(truth))
+	}
+}
+
+// TestRunWarmStartContract pins the sweep warm start that streaming ticks
+// and the window sweeps lean on: Run seeds its final fit from opts.Warm
+// exactly when the warm fit converged, has the selected model and has one
+// coefficient per parameter, reports that as WarmStarted, and selects the
+// same model and (to IRLS tolerance) the same N as a cold Run.
+func TestRunWarmStartContract(t *testing.T) {
+	ctx := context.Background()
+	est := NewEstimator(AIC, Fixed1, math.Inf(1))
+	probs := []float64{0.2, 0.3, 0.25, 0.15}
+	hot := []float64{0.6, 0.7, 0.3, 0.2}
+	run := func(tb *Table, warm *FitResult) *Result {
+		t.Helper()
+		res, err := est.Run(ctx, tb, RunOptions{Warm: warm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// Two adjacent tables, as consecutive ticks of one window see: the
+	// second is the first plus a slice of newly observed individuals.
+	prev := sampleTable(rng.New(5), 80000, probs, hot, 0.3)
+	next := sampleTable(rng.New(6), 1500, probs, hot, 0.3)
+	for s, c := range prev.Counts {
+		next.Counts[s] += c
+	}
+	same := run(prev, nil).Fit
+	other := run(expectedTable(80000, probs), nil).Fit
+	cold := run(next, nil)
+	if !same.Converged || !same.Model.Equal(cold.Model) || other.Model.Equal(cold.Model) {
+		t.Fatalf("fixture: want adjacent tables to share a model (%v, %v) with a converged fit, and the independent one to differ (%v)",
+			same.Model.Terms, cold.Model.Terms, other.Model.Terms)
+	}
+	notConverged := *same
+	notConverged.Converged = false
+	short := *same
+	short.Coef = same.Coef[:len(same.Coef)-1]
+
+	for _, tc := range []struct {
+		name string
+		warm *FitResult
+	}{
+		{"cold", nil},
+		{"same model", same},
+		{"different model", other},
+		{"not converged", &notConverged},
+		{"wrong length", &short},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := run(next, tc.warm)
+			w := tc.warm
+			want := w != nil && w.Converged && w.Model.Equal(res.Model) && len(w.Coef) == res.Model.NumParams()
+			if res.WarmStarted != want {
+				t.Fatalf("WarmStarted = %v, want %v", res.WarmStarted, want)
+			}
+			if !res.Model.Equal(cold.Model) {
+				t.Fatalf("model %v, cold Run selected %v", res.Model.Terms, cold.Model.Terms)
+			}
+			if rel := math.Abs(res.N-cold.N) / cold.N; rel > 1e-6 {
+				t.Fatalf("N = %v, cold Run %v (relative gap %.2g)", res.N, cold.N, rel)
+			}
+			if res.Fit == nil || !res.Fit.Model.Equal(res.Model) || res.Fit.N != res.N {
+				t.Fatalf("Fit does not carry the selected model's fit: %+v", res.Fit)
+			}
+		})
 	}
 }

@@ -79,29 +79,17 @@ func (pr *profiler) logLik(n0 float64) (float64, error) {
 	return res.LogLik, nil
 }
 
-// ProfileInterval computes the 100(1−α)% profile-likelihood interval for N̂
-// following the procedure of Baillargeon & Rivest (Rcapture): the interval
-// is {N : 2(ℓ_max − ℓ(N)) ≤ χ²₁(1−α)}, located by bisection on each side of
-// the point estimate. upper bounds the search (pass the routed-space size,
-// or +Inf).
-func ProfileInterval(tb *Table, fit *FitResult, limit float64, alpha, upper float64) (Interval, error) {
-	return ProfileIntervalScaled(tb, fit, limit, alpha, upper, 1)
-}
-
-// ProfileIntervalScaled is ProfileInterval with the divisor heuristic
-// applied to the likelihood (§3.3.2/§3.3.3): counts are divided by scale
-// before profiling, widening the interval by roughly √scale to account for
-// non-random sampling.
-func ProfileIntervalScaled(tb *Table, fit *FitResult, limit float64, alpha, upper, scale float64) (Interval, error) {
-	return ProfileIntervalScaledCtx(context.Background(), tb, fit, limit, alpha, upper, scale)
-}
-
-// ProfileIntervalScaledCtx is ProfileIntervalScaled with cooperative
-// cancellation: ctx is checked before every profile-likelihood evaluation
-// (each one is a full GLM re-fit, the unit of work the search is made of),
-// so a canceled context stops the bisection within one step and returns
-// ctx.Err(). With a never-canceled context the evaluation sequence — and
-// the interval — is bit-identical to ProfileIntervalScaled.
+// ProfileIntervalScaledCtx computes the 100(1−α)% profile-likelihood
+// interval for N̂ following the procedure of Baillargeon & Rivest
+// (Rcapture): the interval is {N : 2(ℓ_max − ℓ(N)) ≤ χ²₁(1−α)}, located by
+// bisection on each side of the point estimate. upper bounds the search
+// (pass the routed-space size, or +Inf). The divisor heuristic applies to
+// the likelihood (§3.3.2/§3.3.3): counts are divided by scale before
+// profiling, widening the interval by roughly √scale to account for
+// non-random sampling; pass scale 1 for the plain interval. ctx is checked
+// before every profile-likelihood evaluation (each one is a full GLM
+// re-fit, the unit of work the search is made of), so a canceled context
+// stops the bisection within one step and returns ctx.Err().
 func ProfileIntervalScaledCtx(ctx context.Context, tb *Table, fit *FitResult, limit float64, alpha, upper, scale float64) (Interval, error) {
 	mObs := float64(tb.Observed())
 	nHat := fit.N

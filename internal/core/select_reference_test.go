@@ -118,7 +118,7 @@ func selectionEffort(t *testing.T, sel func() (Model, float64, error)) (Model, f
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, ic, rec.Fits.Load(), rec.FitIters.Sum()
+	return m, ic, rec.Fits.Load(), rec.FitIters.Snapshot().Sum
 }
 
 // TestSelectSharedPrologueMatchesReference pins the shared round prologue
@@ -149,7 +149,7 @@ func TestSelectSharedPrologueMatchesReference(t *testing.T) {
 							return m, ic, err
 						})
 						gotM, gotIC, gotFits, gotIters := selectionEffort(t, func() (Model, float64, error) {
-							return SelectModel(tb, opt)
+							return SelectModelCtx(context.Background(), tb, opt)
 						})
 						if !gotM.Equal(wantM) {
 							t.Fatalf("%s: selected %v, reference %v", name, gotM.Terms, wantM.Terms)

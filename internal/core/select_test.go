@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestSelectIndependenceForIndependentData(t *testing.T) {
 	r := rng.New(11)
 	tb := sampleTable(r, 100000, []float64{0.3, 0.4, 0.25}, nil, 0)
 	for _, ic := range []IC{AIC, BIC} {
-		m, _, err := SelectModel(tb, SelectionOptions{IC: ic, Divisor: Adaptive1000, Limit: math.Inf(1)})
+		m, _, err := SelectModelCtx(context.Background(), tb, SelectionOptions{IC: ic, Divisor: Adaptive1000, Limit: math.Inf(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestSelectFindsStrongDependence(t *testing.T) {
 	base := []float64{0.05, 0.05, 0.4, 0.3}
 	hot := []float64{0.7, 0.7, 0.4, 0.3}
 	tb := sampleTable(r, 300000, base, hot, 0.35)
-	m, _, err := SelectModel(tb, SelectionOptions{IC: AIC, Divisor: Fixed1, Limit: math.Inf(1)})
+	m, _, err := SelectModelCtx(context.Background(), tb, SelectionOptions{IC: AIC, Divisor: Fixed1, Limit: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestSelectDivisorSimplifies(t *testing.T) {
 	base := []float64{0.1, 0.12, 0.3, 0.25}
 	hot := []float64{0.35, 0.4, 0.32, 0.27}
 	tb := sampleTable(r, 150000, base, hot, 0.3)
-	m1, _, err := SelectModel(tb, SelectionOptions{IC: AIC, Divisor: Fixed1, Limit: math.Inf(1)})
+	m1, _, err := SelectModelCtx(context.Background(), tb, SelectionOptions{IC: AIC, Divisor: Fixed1, Limit: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1000, _, err := SelectModel(tb, SelectionOptions{IC: AIC, Divisor: Fixed1000, Limit: math.Inf(1)})
+	m1000, _, err := SelectModelCtx(context.Background(), tb, SelectionOptions{IC: AIC, Divisor: Fixed1000, Limit: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestSelectRespectsMaxTerms(t *testing.T) {
 	base := []float64{0.05, 0.05, 0.05, 0.05}
 	hot := []float64{0.6, 0.6, 0.6, 0.6}
 	tb := sampleTable(r, 200000, base, hot, 0.4)
-	m, _, err := SelectModel(tb, SelectionOptions{IC: AIC, Divisor: Fixed1, Limit: math.Inf(1), MaxTerms: 2})
+	m, _, err := SelectModelCtx(context.Background(), tb, SelectionOptions{IC: AIC, Divisor: Fixed1, Limit: math.Inf(1), MaxTerms: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestSelectMaxOrderLimitsTerms(t *testing.T) {
 	base := []float64{0.05, 0.05, 0.05, 0.3}
 	hot := []float64{0.6, 0.6, 0.6, 0.3}
 	tb := sampleTable(r, 200000, base, hot, 0.4)
-	m, _, err := SelectModel(tb, SelectionOptions{IC: AIC, Divisor: Fixed1, Limit: math.Inf(1), MaxOrder: 2})
+	m, _, err := SelectModelCtx(context.Background(), tb, SelectionOptions{IC: AIC, Divisor: Fixed1, Limit: math.Inf(1), MaxOrder: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

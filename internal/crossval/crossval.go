@@ -32,19 +32,11 @@ func (r SourceResult) Error() float64 { return r.Est - float64(r.Truth) }
 // withCI additionally computes profile intervals (Figure 3); it is the
 // expensive part, so Table 3's sweeps leave it off. The per-source runs
 // are independent, so they fan out over the parallel worker pool; results
-// are collected in source order, identical to a serial run.
-func Run(names []sources.Name, sets []*ipset.Set, est *core.Estimator, withCI bool) []SourceResult {
-	// A background context never cancels, so RunCtx cannot fail here.
-	out, _ := RunCtx(context.Background(), names, sets, est, withCI)
-	return out
-}
-
-// RunCtx is Run with cooperative cancellation: ctx is checked between
-// held-out sources (and inside each source's model search and interval
-// computation), and the call returns nil results plus ctx.Err() once the
-// context is done. With a never-canceled context the results are
-// bit-identical to Run.
-func RunCtx(ctx context.Context, names []sources.Name, sets []*ipset.Set, est *core.Estimator, withCI bool) ([]SourceResult, error) {
+// are collected in source order, identical to a serial run. ctx is checked
+// between held-out sources (and inside each source's model search and
+// interval computation), and the call returns nil results plus ctx.Err()
+// once the context is done.
+func Run(ctx context.Context, names []sources.Name, sets []*ipset.Set, est *core.Estimator, withCI bool) ([]SourceResult, error) {
 	k := len(sets)
 	sp := telemetry.Active().StartSpan("crossval.run")
 	defer sp.End(int64(k))
@@ -97,13 +89,7 @@ func RunCtx(ctx context.Context, names []sources.Name, sets []*ipset.Set, est *c
 		if sub.Limit <= 0 || sub.Limit > float64(uni.Len()) {
 			sub.Limit = float64(uni.Len())
 		}
-		var r *core.Result
-		var err error
-		if withCI {
-			r, err = sub.EstimateCtx(ctx, tb)
-		} else {
-			r, err = sub.EstimatePointCtx(ctx, tb)
-		}
+		r, err := sub.Run(ctx, tb, core.RunOptions{Interval: withCI})
 		if err != nil {
 			if ctx.Err() != nil {
 				// Canceled mid-estimate: the whole run fails below;

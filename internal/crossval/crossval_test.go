@@ -20,6 +20,16 @@ import (
 
 var cachedBundle *dataset.Bundle
 
+// mustRun is Run under a context that never cancels.
+func mustRun(t *testing.T, names []sources.Name, sets []*ipset.Set, est *core.Estimator, withCI bool) []SourceResult {
+	t.Helper()
+	out, err := Run(context.Background(), names, sets, est, withCI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func bundle(t *testing.T) *dataset.Bundle {
 	t.Helper()
 	if cachedBundle == nil {
@@ -35,7 +45,7 @@ func TestRunBasics(t *testing.T) {
 	est := core.NewEstimator(core.BIC, core.Adaptive1000, math.Inf(1))
 	est.MaxTerms = 3
 	est.MaxOrder = 2
-	results := Run(b.Names, b.Sets, est, false)
+	results := mustRun(t, b.Names, b.Sets, est, false)
 	if len(results) != len(b.Sets) {
 		t.Fatalf("results for %d of %d sources", len(results), len(b.Sets))
 	}
@@ -65,7 +75,7 @@ func TestCRBeatsObservedOnAverage(t *testing.T) {
 	est := core.NewEstimator(core.BIC, core.Adaptive1000, math.Inf(1))
 	est.MaxTerms = 3
 	est.MaxOrder = 2
-	results := Run(b.Names, b.Sets, est, false)
+	results := mustRun(t, b.Names, b.Sets, est, false)
 	var crErr, obsErr float64
 	for _, r := range results {
 		crErr += math.Abs(r.Error())
@@ -81,7 +91,7 @@ func TestPingUndercountsInCV(t *testing.T) {
 	b := bundle(t)
 	est := core.NewEstimator(core.AIC, core.Fixed1, math.Inf(1))
 	est.MaxTerms = 2
-	results := Run(b.Names, b.Sets, est, false)
+	results := mustRun(t, b.Names, b.Sets, est, false)
 	for _, r := range results {
 		if r.Name == sources.IPING || r.Name == sources.TPING {
 			continue
@@ -101,7 +111,7 @@ func TestRunWithCI(t *testing.T) {
 	// CI on a reduced source list to keep the test quick.
 	names := b.Names[:4]
 	sets := b.Sets[:4]
-	results := Run(names, sets, est, true)
+	results := mustRun(t, names, sets, est, true)
 	for _, r := range results {
 		if r.Lo == 0 && r.Hi == 0 {
 			t.Fatalf("%s: no interval computed", r.Name)
@@ -135,41 +145,24 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	est.MaxTerms = 3
 	est.MaxOrder = 2
 	parallel.SetWorkers(1)
-	serial := Run(b.Names, b.Sets, est, false)
+	serial := mustRun(t, b.Names, b.Sets, est, false)
 	parallel.SetWorkers(8)
-	par := Run(b.Names, b.Sets, est, false)
+	par := mustRun(t, b.Names, b.Sets, est, false)
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("parallel results differ from serial:\nserial: %+v\nparallel: %+v", serial, par)
 	}
 }
 
-// TestRunCtxMatchesRun: with a live context the ctx-aware sweep must be
-// bit-identical to the legacy Run (same per-source estimates, same order).
-func TestRunCtxMatchesRun(t *testing.T) {
-	b := bundle(t)
-	est := core.NewEstimator(core.BIC, core.Adaptive1000, math.Inf(1))
-	est.MaxTerms = 3
-	est.MaxOrder = 2
-	legacy := Run(b.Names, b.Sets, est, false)
-	ctxed, err := RunCtx(context.Background(), b.Names, b.Sets, est, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, ctxed) {
-		t.Fatalf("RunCtx results differ from Run:\nctx:    %+v\nlegacy: %+v", ctxed, legacy)
-	}
-}
-
-// TestRunCtxCanceled: a dead context aborts the sweep with its error and no
+// TestRunCanceled: a dead context aborts the sweep with its error and no
 // partial results — cancellation must never fabricate per-source fallbacks.
-func TestRunCtxCanceled(t *testing.T) {
+func TestRunCanceled(t *testing.T) {
 	b := bundle(t)
 	est := core.NewEstimator(core.BIC, core.Adaptive1000, math.Inf(1))
 	est.MaxTerms = 3
 	est.MaxOrder = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := RunCtx(ctx, b.Names, b.Sets, est, false)
+	results, err := Run(ctx, b.Names, b.Sets, est, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -203,7 +196,7 @@ func legacySourceRun(names []sources.Name, sets []*ipset.Set, est *core.Estimato
 	if sub.Limit <= 0 || sub.Limit > float64(uni.Len()) {
 		sub.Limit = float64(uni.Len())
 	}
-	r, err := sub.EstimatePoint(tb)
+	r, err := sub.Run(context.Background(), tb, core.RunOptions{})
 	if err != nil {
 		res.Est = float64(res.ObsAll)
 	} else {
@@ -289,7 +282,7 @@ func TestRunMatchesSetBasedConstruction(t *testing.T) {
 
 	check := func(t *testing.T, names []sources.Name, sets []*ipset.Set) {
 		t.Helper()
-		got := Run(names, sets, est, false)
+		got := mustRun(t, names, sets, est, false)
 		pingIdx := -1
 		for i, n := range names {
 			if n == sources.IPING {

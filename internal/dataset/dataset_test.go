@@ -28,7 +28,7 @@ func TestCollectDefault(t *testing.T) {
 	if b.RoutedAddrs == 0 || b.Routed24 == 0 {
 		t.Fatal("routed counts missing")
 	}
-	if b.Routed == nil || b.Routed.AddrCount() == 0 {
+	if b.Routed == nil || len(b.Routed.Prefixes()) == 0 {
 		t.Fatal("routed table missing")
 	}
 	// Spoof filtering must have run on both NetFlow sources.

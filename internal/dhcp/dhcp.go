@@ -137,16 +137,9 @@ func (p *Pool) Lease(client int, duration time.Duration) (ipv4.Addr, error) {
 	return a, nil
 }
 
-// Active returns the number of currently leased addresses.
-func (p *Pool) Active() int { return len(p.leases) }
-
 // Peak returns the maximum simultaneous leases seen so far (the high
 // watermark the paper's Table 4 ground truth uses).
 func (p *Pool) Peak() int { return p.peak }
-
-// EverUsed returns the set of addresses ever handed out — what a long
-// passive observation window accumulates.
-func (p *Pool) EverUsed() *ipset.Set { return p.everUsed.Clone() }
 
 // Churn runs a synthetic subscriber workload against the pool: clients
 // subscribers, each online with the given probability per step, re-leasing

@@ -26,8 +26,8 @@ func TestPoolBasics(t *testing.T) {
 	if b != ipv4.MustParseAddr("10.0.0.2") {
 		t.Fatalf("second lease = %v, want 10.0.0.2", b)
 	}
-	if p.Active() != 2 || p.Peak() != 2 {
-		t.Fatalf("active=%d peak=%d", p.Active(), p.Peak())
+	if len(p.leases) != 2 || p.Peak() != 2 {
+		t.Fatalf("active=%d peak=%d", len(p.leases), p.Peak())
 	}
 }
 
@@ -36,7 +36,7 @@ func TestLeaseExpiry(t *testing.T) {
 	p.Advance(t0())
 	a, _ := p.Lease(1, time.Hour)
 	p.Advance(t0().Add(2 * time.Hour))
-	if p.Active() != 0 {
+	if len(p.leases) != 0 {
 		t.Fatal("lease should have expired")
 	}
 	// The expired address returns to the head of the free list.
@@ -75,8 +75,8 @@ func TestPolicyDeterminesLongTermObservation(t *testing.T) {
 	if low.Peak() > clients || uni.Peak() > clients {
 		t.Fatalf("peaks %d/%d cannot exceed client count %d", low.Peak(), uni.Peak(), clients)
 	}
-	lowEver := low.EverUsed().Len()
-	uniEver := uni.EverUsed().Len()
+	lowEver := low.everUsed.Len()
+	uniEver := uni.everUsed.Len()
 	// Lowest-free: ever-used ≈ peak.
 	if lowEver > low.Peak()+5 {
 		t.Errorf("lowest-free ever-used %d should approximate peak %d", lowEver, low.Peak())

@@ -16,6 +16,6 @@
 //
 // The main entry point is NewPool, which builds a Pool over a CIDR block
 // under the chosen Policy; churn is driven through Lease/Advance (or the
-// Churn convenience sweep) and the outcome read back with EverUsed versus
-// Peak — the comparison behind the `ghosts -exp pools` ablation.
+// Churn convenience sweep, whose cumulative ever-used counts are set
+// against Peak) — the comparison behind the `ghosts -exp pools` ablation.
 package dhcp

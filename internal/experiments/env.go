@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"sync"
 
@@ -258,19 +259,11 @@ func (e *Env) Estimates(opt dataset.Options, s24 bool, withCI bool) []WindowEsti
 	// excellent IRLS seed.
 	var warm *core.FitResult
 	for i := range e.Win {
-		est := e.Estimator(limits[i])
-		var res *core.Result
-		var fit *core.FitResult
-		var err error
-		if withCI {
-			res, fit, err = est.EstimateSweep(tbs[i], warm)
-		} else {
-			res, fit, err = est.EstimateSweepPoint(tbs[i], warm)
-		}
+		res, err := e.Estimator(limits[i]).Run(context.Background(), tbs[i], core.RunOptions{Interval: withCI, Warm: warm})
 		if err == nil {
 			out[i].Est = res.N
 			out[i].Lo, out[i].Hi = res.Interval.Lo, res.Interval.Hi
-			warm = fit
+			warm = res.Fit
 		} else {
 			out[i].Est = out[i].Observed
 			warm = nil
@@ -385,13 +378,13 @@ func (e *Env) stratSweep(labels []string, tableOf func(i int, label string) (*co
 				vals[i], has[i] = float64(obs), true
 				continue
 			}
-			res, fit, err := e.Estimator(limit).EstimateSweepPoint(tb, warm)
+			res, err := e.Estimator(limit).Run(context.Background(), tb, core.RunOptions{Warm: warm})
 			if err != nil {
 				vals[i], has[i] = float64(obs), true
 				warm = nil
 			} else {
 				vals[i], has[i] = res.N, true
-				warm = fit
+				warm = res.Fit
 			}
 		}
 		mu.Lock()
@@ -449,7 +442,7 @@ func (e *Env) EstimateSets(sets []*ipset.Set, limit float64) (est float64, obser
 	if limit <= 0 {
 		limit = math.Inf(1)
 	}
-	res, err := e.Estimator(limit).EstimatePoint(tb)
+	res, err := e.Estimator(limit).Run(context.Background(), tb, core.RunOptions{})
 	if err != nil {
 		return float64(observed), observed
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -64,7 +65,7 @@ func Estimators(e *Env) *EstimatorsData {
 	}
 	add("Chao lower bound", core.ChaoLowerBound(tb))
 	add("Sample coverage (Chao-Lee)", core.SampleCoverage(tb))
-	if res, err := e.Estimator(float64(b.RoutedAddrs)).EstimatePoint(tb); err == nil {
+	if res, err := e.Estimator(float64(b.RoutedAddrs)).Run(context.Background(), tb, core.RunOptions{}); err == nil {
 		add("Log-linear CR (paper)", res.N)
 	}
 	return d

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -98,7 +99,8 @@ func Figure3(e *Env) *Figure3Data {
 	}
 	b := e.Bundle(wIdx, dataset.DefaultOptions())
 	est := e.Estimator(math.Inf(1))
-	results := crossval.Run(b.Names, b.Sets, est, true)
+	// A background context never cancels, so Run cannot fail here.
+	results, _ := crossval.Run(context.Background(), b.Names, b.Sets, est, true)
 	d := &Figure3Data{WindowLabel: b.Window.Label()}
 	for _, r := range results {
 		truth := float64(r.Truth)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -158,8 +159,11 @@ func Table3(e *Env, stride int) *Table3Data {
 		est.MaxOrder = e.MaxOrder
 		var allAddr, allS24 []crossval.SourceResult
 		for _, ws := range sets {
-			allAddr = append(allAddr, crossval.Run(ws.names, ws.addrs, est, false)...)
-			allS24 = append(allS24, crossval.Run(ws.names, ws.s24s, est, false)...)
+			// A background context never cancels, so Run cannot fail here.
+			addr, _ := crossval.Run(context.Background(), ws.names, ws.addrs, est, false)
+			s24, _ := crossval.Run(context.Background(), ws.names, ws.s24s, est, false)
+			allAddr = append(allAddr, addr...)
+			allS24 = append(allS24, s24...)
 		}
 		ra, ma := crossval.Errors(allAddr)
 		rs, ms := crossval.Errors(allS24)

@@ -51,9 +51,6 @@ func NewJoiner(router, self string, ttl time.Duration, log io.Writer) (*Joiner, 
 	}, nil
 }
 
-// Self returns the advertised base URL (normalised).
-func (j *Joiner) Self() string { return j.self }
-
 // postJSON posts v to the router path and decodes the response into out.
 func (j *Joiner) postJSON(ctx context.Context, path string, v, out any) error {
 	body, err := json.Marshal(v)

@@ -35,7 +35,7 @@ func newDynamicRouter(t *testing.T, cfg RouterConfig) (*Router, *httptest.Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := httptest.NewServer(rt.Handler())
+	rts := httptest.NewServer(rt.mux)
 	t.Cleanup(rts.Close)
 	return rt, rts
 }
@@ -190,7 +190,7 @@ func TestJoinValidation(t *testing.T) {
 			t.Fatalf("%s: error body %s, want code %q", tc.name, b, tc.wantCode)
 		}
 	}
-	if got := rt.Registry().Members(); len(got) != 0 {
+	if got := rt.registry.Members(); len(got) != 0 {
 		t.Fatalf("invalid joins registered members: %v", got)
 	}
 }
@@ -283,7 +283,7 @@ func TestDynamicFleetChurnByteIdentity(t *testing.T) {
 
 	rt, rts := newDynamicRouter(t, RouterConfig{LeaseTTL: MinLeaseTTL})
 	clock := newFakeClock()
-	rt.Registry().now = clock.now
+	rt.registry.now = clock.now
 
 	joinWorker := func(w *testWorker) {
 		t.Helper()
@@ -300,7 +300,7 @@ func TestDynamicFleetChurnByteIdentity(t *testing.T) {
 	}
 	joinWorker(w1)
 	joinWorker(w2)
-	if got := rt.Ring().Live(); got != 2 {
+	if got := rt.ring.Live(); got != 2 {
 		t.Fatalf("live after joins = %d, want 2", got)
 	}
 
@@ -373,17 +373,17 @@ func TestProberPicksUpRegistryChanges(t *testing.T) {
 	w := newTestWorker(t)
 	rt, _ := newDynamicRouter(t, RouterConfig{})
 	rt.ProbeNow(context.Background())
-	if got := rt.Ring().Live(); got != 0 {
+	if got := rt.ring.Live(); got != 0 {
 		t.Fatalf("live before any registration = %d", got)
 	}
 	// Register directly (no join-time probe) and let the cadence probe
 	// find it.
-	rt.Registry().Join(w.ts.URL, time.Hour)
-	if got := rt.Ring().Live(); got != 0 {
+	rt.registry.Join(w.ts.URL, time.Hour)
+	if got := rt.ring.Live(); got != 0 {
 		t.Fatalf("registration alone made the member live: %d", got)
 	}
 	rt.ProbeNow(context.Background())
-	if got := rt.Ring().Live(); got != 1 {
+	if got := rt.ring.Live(); got != 1 {
 		t.Fatalf("live after probe pass = %d, want 1", got)
 	}
 }

@@ -162,22 +162,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Handler returns the router's root handler (also useful under httptest).
-func (rt *Router) Handler() http.Handler { return rt.mux }
-
-// Addr returns the bound listen address once Run is serving ("" before).
-func (rt *Router) Addr() string { return rt.edge.Addr() }
-
 // ProbeNow forces one synchronous membership refresh. Run calls it before
 // accepting traffic; tests call it to make membership transitions
 // deterministic instead of waiting out the probe cadence.
 func (rt *Router) ProbeNow(ctx context.Context) { rt.prober.ProbeOnce(ctx) }
-
-// Ring exposes the membership ring (tests and the /v1/fleet handler).
-func (rt *Router) Ring() *Ring { return rt.ring }
-
-// Registry exposes the dynamic membership registry (tests).
-func (rt *Router) Registry() *Registry { return rt.registry }
 
 // Run serves on addr until ctx is cancelled, then drains gracefully. The
 // prober runs for the duration; one synchronous probe pass happens before

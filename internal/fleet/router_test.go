@@ -96,10 +96,10 @@ func newTestFleet(t *testing.T, n int, cfg RouterConfig) ([]*testWorker, *Router
 		t.Fatal(err)
 	}
 	rt.ProbeNow(context.Background())
-	if got := rt.Ring().Live(); got != n {
+	if got := rt.ring.Live(); got != n {
 		t.Fatalf("after initial probe Live = %d, want %d", got, n)
 	}
-	rts := httptest.NewServer(rt.Handler())
+	rts := httptest.NewServer(rt.mux)
 	t.Cleanup(rts.Close)
 	return workers, rt, rts
 }
@@ -185,7 +185,7 @@ func TestFleetSingleComputeByteIdentity(t *testing.T) {
 	// still-serving cache. Still no second fit.
 	byURL[owner].srv.SetReady(false)
 	rt.ProbeNow(context.Background())
-	if got := rt.Ring().Live(); got != 1 {
+	if got := rt.ring.Live(); got != 1 {
 		t.Fatalf("after drain Live = %d, want 1", got)
 	}
 	resp, failover := post(t, rts.URL, estimateBody)
@@ -248,7 +248,7 @@ func TestFleetDrainMidRun(t *testing.T) {
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d requests failed across the drain", n)
 	}
-	if got := rt.Ring().Live(); got != 1 {
+	if got := rt.ring.Live(); got != 1 {
 		t.Fatalf("after drain Live = %d, want 1", got)
 	}
 
@@ -267,7 +267,7 @@ func TestFleetDrainMidRun(t *testing.T) {
 	// Rejoin: the prober readmits the worker and keys flow back.
 	workers[1].srv.SetReady(true)
 	rt.ProbeNow(context.Background())
-	if got := rt.Ring().Live(); got != 2 {
+	if got := rt.ring.Live(); got != 2 {
 		t.Fatalf("after rejoin Live = %d, want 2", got)
 	}
 }
@@ -300,7 +300,7 @@ func TestRouterRetriesSheddingWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.ProbeNow(context.Background())
-	rts := httptest.NewServer(rt.Handler())
+	rts := httptest.NewServer(rt.mux)
 	t.Cleanup(rts.Close)
 
 	for i := 0; i < 8; i++ {
@@ -448,7 +448,7 @@ func bodyOwnedBy(t *testing.T, rt *Router, member string) string {
 	t.Helper()
 	for i := 0; i < 256; i++ {
 		body := drainBody(i)
-		if seq := rt.Ring().Sequence(keyOf(t, body), 1); len(seq) == 1 && seq[0] == member {
+		if seq := rt.ring.Sequence(keyOf(t, body), 1); len(seq) == 1 && seq[0] == member {
 			return body
 		}
 	}
@@ -487,7 +487,7 @@ func TestRouterRetriesDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.ProbeNow(context.Background())
-	rts := httptest.NewServer(rt.Handler())
+	rts := httptest.NewServer(rt.mux)
 	t.Cleanup(rts.Close)
 
 	resp, body := post(t, rts.URL, bodyOwnedBy(t, rt, shedder.URL))
@@ -509,7 +509,7 @@ func TestRouterRetriesDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt2.ProbeNow(context.Background())
-	rts2 := httptest.NewServer(rt2.Handler())
+	rts2 := httptest.NewServer(rt2.mux)
 	t.Cleanup(rts2.Close)
 	resp, body = post(t, rts2.URL, bodyOwnedBy(t, rt2, shedder.URL))
 	if resp.StatusCode != http.StatusOK {
@@ -543,7 +543,7 @@ func TestRouterRejectsOversizedUpstream(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.ProbeNow(context.Background())
-	rts := httptest.NewServer(rt.Handler())
+	rts := httptest.NewServer(rt.mux)
 	t.Cleanup(rts.Close)
 
 	resp, body := post(t, rts.URL, estimateBody)
@@ -598,7 +598,7 @@ func TestRouterStatusWriterFlush(t *testing.T) {
 		flushed = true
 	}))
 	rec := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/test", nil))
+	rt.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/test", nil))
 	if !flushed {
 		t.Fatal("handler never reached Flush")
 	}

@@ -447,7 +447,7 @@ func (p *Pipeline) Subscribe() (<-chan *Tick, func()) {
 // Windows are emitted oldest first; a window untouched since its last
 // estimate republishes the cached figures instead of refitting, and a
 // dirty window's fit seeds from its own previous tick's coefficients when
-// the selected model is unchanged (core.EstimateSweepPoint). When several
+// the selected model is unchanged (core.RunOptions.Warm). When several
 // windows are dirty they re-estimate concurrently: each window's fit is
 // independent (own histogram, own warm state) and results land in
 // index-addressed slots, so the emitted window order and every warm-start
@@ -553,13 +553,12 @@ func (p *Pipeline) estimateWindow(w *windowState, sc *tickScratch) WindowEstimat
 	if tb.T < 2 {
 		return we // CR cannot see past a single source's union
 	}
-	res, fit, err := p.est.EstimateSweepPoint(tb, w.warm)
+	res, err := p.est.Run(context.Background(), tb, core.RunOptions{Warm: w.warm})
 	if err != nil {
 		return we
 	}
-	we.Warm = w.warm != nil && w.warm.Converged &&
-		w.warm.Model.Equal(res.Model) && len(w.warm.Coef) == res.Model.NumParams()
-	w.warm = fit
+	we.Warm = res.WarmStarted
+	w.warm = res.Fit
 	we.Estimated = true
 	we.Estimate = res.N
 	we.Unseen = res.Unseen

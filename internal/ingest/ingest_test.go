@@ -297,8 +297,8 @@ func TestEstimateAndWarmStart(t *testing.T) {
 	if rec.SweepWarmStarts.Load() == 0 {
 		t.Fatal("telemetry glm_fit.sweep_warm_starts stayed 0 across warm tick")
 	}
-	if rec.TickLatencyUS.Count() != 2 {
-		t.Fatalf("tick latency histogram has %d samples, want 2", rec.TickLatencyUS.Count())
+	if rec.TickLatencyUS.Snapshot().Count != 2 {
+		t.Fatalf("tick latency histogram has %d samples, want 2", rec.TickLatencyUS.Snapshot().Count)
 	}
 }
 

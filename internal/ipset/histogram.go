@@ -28,42 +28,6 @@ func CaptureHistogram(sets []*Set) []int64 {
 	return counts
 }
 
-// CaptureHistogramsBy computes one capture histogram per group in a single
-// pass over the merged source pages: group assigns every occupied /24 page
-// (by its Slash24Index) to a group in [0, ngroups), or a negative group to
-// drop the page entirely. A page is atomic — all 256 addresses of a /24
-// share its group — which is exactly the granularity of stratum labels
-// (allocations are /24-aligned or larger, and static/dynamic is defined
-// per /24), so one pass suffices for any /24-granular partition.
-//
-// The result is indexed by group; groups that own no occupied page stay
-// nil. Each non-nil histogram has length 1<<len(sets) and is cell-for-cell
-// identical to CaptureHistogram run over the sets restricted to that
-// group's /24s.
-func CaptureHistogramsBy(sets []*Set, ngroups int, group func(key24 uint32) int) [][]int64 {
-	t := len(sets)
-	out := make([][]int64, ngroups)
-	if t == 0 || ngroups == 0 {
-		return out
-	}
-	if t > 16 {
-		panic("ipset: CaptureHistogramsBy supports at most 16 sources")
-	}
-	for idx, pages := range mergePages(sets) {
-		g := group(idx)
-		if g < 0 {
-			continue
-		}
-		counts := out[g]
-		if counts == nil {
-			counts = make([]int64, 1<<uint(t))
-			out[g] = counts
-		}
-		foldPage(counts, &pages, t)
-	}
-	return out
-}
-
 // A Grouping partitions occupied /24 pages for one grouped histogram:
 // Group assigns a page (by Slash24Index) to a group in [0, N), or a
 // negative group to drop the page under this grouping.

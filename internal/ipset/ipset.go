@@ -130,26 +130,6 @@ func Intersect(a, b *Set) *Set {
 	return out
 }
 
-// Diff returns a new set containing members of a that are not in b.
-func Diff(a, b *Set) *Set {
-	out := New()
-	for idx, ap := range a.pages {
-		np := *ap
-		if bp := b.pages[idx]; bp != nil {
-			np[0] &^= bp[0]
-			np[1] &^= bp[1]
-			np[2] &^= bp[2]
-			np[3] &^= bp[3]
-		}
-		if !np.empty() {
-			cp := np
-			out.pages[idx] = &cp
-			out.size += np.count()
-		}
-	}
-	return out
-}
-
 // IntersectCount returns |a ∩ b| without materialising the intersection.
 // Capture-history construction calls this on every source pair, so it is a
 // hot path.
@@ -193,30 +173,9 @@ func (s *Set) Range(fn func(ipv4.Addr) bool) {
 	}
 }
 
-// Addrs returns all addresses in ascending order. Intended for tests and
-// small sets.
-func (s *Set) Addrs() []ipv4.Addr {
-	out := make([]ipv4.Addr, 0, s.size)
-	s.Range(func(a ipv4.Addr) bool {
-		out = append(out, a)
-		return true
-	})
-	return out
-}
-
 // Slash24Len returns the number of distinct /24 subnets with at least one
 // member.
 func (s *Set) Slash24Len() int { return len(s.pages) }
-
-// Slash24Count returns the number of members of s inside the /24 subnet of
-// key (any address within the subnet).
-func (s *Set) Slash24Count(key ipv4.Addr) int {
-	p := s.pages[key.Slash24Index()]
-	if p == nil {
-		return 0
-	}
-	return p.count()
-}
 
 // RangeSlash24 calls fn with the base address and member count of every
 // occupied /24 subnet, in ascending order, until fn returns false.

@@ -90,15 +90,6 @@ func (h *MaskHist) Add(source int, a ipv4.Addr) bool {
 	return true
 }
 
-// Mask returns a's current capture mask (0 when unobserved).
-func (h *MaskHist) Mask(a ipv4.Addr) uint16 {
-	pg := h.pages[a.Slash24Index()]
-	if pg == nil {
-		return 0
-	}
-	return pg[a.LastByte()]
-}
-
 // Len returns the number of distinct addresses observed by any source —
 // the histogram total, M.
 func (h *MaskHist) Len() int64 { return h.size }
@@ -112,7 +103,3 @@ func (h *MaskHist) SourceLen(i int) int64 { return h.per[i] }
 // aliased, not copied: it is only valid until the next Add or Grow, and
 // callers must not modify it.
 func (h *MaskHist) Histogram() []int64 { return h.hist }
-
-// Slash24Len returns the number of distinct /24 subnets with at least one
-// observed member — the page count rotation pays to retire this store.
-func (h *MaskHist) Slash24Len() int { return len(h.pages) }

@@ -25,7 +25,7 @@ func TestMaskHistBasics(t *testing.T) {
 	if got := h.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
-	if got := h.Mask(a); got != 0b011 {
+	if got := h.pages[a.Slash24Index()][a.LastByte()]; got != 0b011 {
 		t.Fatalf("Mask(a) = %b, want 011", got)
 	}
 	if got := h.SourceLen(0); got != 1 {
@@ -42,8 +42,8 @@ func TestMaskHistBasics(t *testing.T) {
 	if total != h.Len() {
 		t.Fatalf("histogram total %d != Len %d", total, h.Len())
 	}
-	if h.Slash24Len() != 2 {
-		t.Fatalf("Slash24Len = %d, want 2", h.Slash24Len())
+	if len(h.pages) != 2 {
+		t.Fatalf("%d pages, want 2", len(h.pages))
 	}
 }
 

@@ -107,9 +107,6 @@ func maskFor(bits int) Addr {
 	return Addr(^uint32(0) << (32 - uint(bits)))
 }
 
-// Mask returns the netmask of p as an address value.
-func (p Prefix) Mask() Addr { return maskFor(p.Bits) }
-
 // Size returns the number of addresses covered by p.
 func (p Prefix) Size() uint64 { return 1 << (32 - uint(p.Bits)) }
 

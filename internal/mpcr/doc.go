@@ -7,9 +7,8 @@
 //
 // The main entry points are NewParty (one operator with its secret
 // exponent and observation set), ComputeTable — which circulates the
-// encrypted batches and tallies them into a core.Table — and Estimate,
-// which runs the paper-default estimator on that table; Tally is the
-// combiner step alone.
+// encrypted batches and tallies them into a core.Table, which any
+// core.Estimator then runs on; Tally is the combiner step alone.
 //
 // # Protocol
 //

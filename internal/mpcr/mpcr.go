@@ -195,14 +195,3 @@ func partyNames(parties []*Party) []string {
 	}
 	return out
 }
-
-// Estimate is the end-to-end convenience: run the protocol and feed the
-// resulting table to the paper's default estimator with the given
-// truncation limit.
-func Estimate(parties []*Party, limit float64) (*core.Result, error) {
-	tb, err := ComputeTable(parties)
-	if err != nil {
-		return nil, err
-	}
-	return core.DefaultEstimator(limit).Estimate(tb)
-}

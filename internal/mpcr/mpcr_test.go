@@ -1,6 +1,7 @@
 package mpcr
 
 import (
+	"context"
 	"math"
 	"math/big"
 	"testing"
@@ -169,11 +170,16 @@ func TestEstimateEndToEnd(t *testing.T) {
 	names := []string{"A", "B", "C"}
 	sets, _ := buildSets(t, 3, 5000, 0.35)
 	ps := mkParties(t, names, sets)
-	secure, err := Estimate(ps, math.Inf(1))
+	tb, err := ComputeTable(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := core.DefaultEstimator(math.Inf(1)).Estimate(core.TableFromSets(sets, names))
+	est := core.DefaultEstimator(math.Inf(1))
+	secure, err := est.Run(context.Background(), tb, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := est.Run(context.Background(), core.TableFromSets(sets, names), core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +209,7 @@ func BenchmarkProtocolThreeParties(b *testing.B) {
 	for i := range sets {
 		sets[i] = ipset.New()
 		for j := 0; j < 500; j++ {
-			sets[i].Add(ipv4.Addr(0x14000000 + r.Uint32()%2000))
+			sets[i].Add(ipv4.Addr(0x14000000 + uint32(r.Uint64()>>32)%2000))
 		}
 	}
 	ps := make([]*Party, 3)

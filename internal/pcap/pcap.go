@@ -103,9 +103,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br, linkType: binary.LittleEndian.Uint32(hdr[20:])}, nil
 }
 
-// LinkType returns the capture's link type (101 for raw IP).
-func (pr *Reader) LinkType() uint32 { return pr.linkType }
-
 // Next returns the next packet, or io.EOF at the end of the capture.
 func (pr *Reader) Next() (Packet, error) {
 	var rec [16]byte

@@ -34,8 +34,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LinkType() != 101 {
-		t.Fatalf("link type %d, want 101 (raw IP)", r.LinkType())
+	if r.linkType != 101 {
+		t.Fatalf("link type %d, want 101 (raw IP)", r.linkType)
 	}
 	for i := 0; ; i++ {
 		p, err := r.Next()

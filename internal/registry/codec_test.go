@@ -13,7 +13,8 @@ import (
 	"ghosts/internal/ipv4"
 )
 
-// This file implements the RIR "extended delegation" statistics format —
+// This file implements, for the tests, the RIR "extended delegation"
+// statistics format —
 // the pipe-separated files the registries publish daily and the paper's
 // stratifications are derived from:
 //
@@ -26,7 +27,8 @@ import (
 //
 // A Registry round-trips through this format; the industry class (not part
 // of the public format) is carried in the opaque-id column, as registries
-// use that column for registration handles.
+// use that column for registration handles. No binary reads or writes
+// delegation files, so the codec lives beside its tests and fuzz target.
 
 // WriteDelegation serialises the registry in extended delegation format.
 // Records are emitted in address order; a prefix whose size is not a power

@@ -8,7 +8,6 @@
 //
 // The main entry points are Generate (a synthetic Registry from a Config),
 // Registry.Lookup (O(log n) address-to-Allocation resolution, the basis of
-// every stratifier), Registry.AllocatedAddrs (the Figure 10 allocation
-// curve), and the RIR-delegation text codec (Registry.WriteDelegation /
-// ReadDelegation) for persisting tables.
+// every stratifier) and Registry.AllocatedAddrs (the Figure 10 allocation
+// curve).
 package registry

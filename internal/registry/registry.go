@@ -140,25 +140,6 @@ var countries = []countryInfo{
 	{"KE", AfriNIC, 10}, {"MA", AfriNIC, 10},
 }
 
-// Countries returns the country codes known to the generator.
-func Countries() []string {
-	out := make([]string, len(countries))
-	for i, c := range countries {
-		out[i] = c.code
-	}
-	return out
-}
-
-// CountryRIR returns the RIR responsible for a known country code.
-func CountryRIR(code string) (RIR, bool) {
-	for _, c := range countries {
-		if c.code == code {
-			return c.rir, true
-		}
-	}
-	return 0, false
-}
-
 // rirShare is each RIR's share of the generated space, roughly matching
 // the relative sizes of real allocations (ARIN largest, then RIPE, APNIC).
 var rirShare = map[RIR]float64{

@@ -166,3 +166,22 @@ func BenchmarkLookup(b *testing.B) {
 		g.Lookup(addrs[i&1023])
 	}
 }
+
+// Countries returns the country codes known to the generator.
+func Countries() []string {
+	out := make([]string, len(countries))
+	for i, c := range countries {
+		out[i] = c.code
+	}
+	return out
+}
+
+// CountryRIR returns the RIR responsible for a known country code.
+func CountryRIR(code string) (RIR, bool) {
+	for _, c := range countries {
+		if c.code == code {
+			return c.rir, true
+		}
+	}
+	return 0, false
+}

@@ -47,9 +47,6 @@ func (r *RNG) Uint64() uint64 {
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
-// Uint32 returns 32 uniformly random bits.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

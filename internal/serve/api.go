@@ -219,16 +219,7 @@ func Compute(ctx context.Context, req *EstimateRequest) (*EstimateResponse, erro
 	tb := core.NewTable(t)
 	copy(tb.Counts, req.Counts)
 	tb.Names = req.Sources
-	est := req.estimator()
-	var (
-		res *core.Result
-		err error
-	)
-	if *req.Interval {
-		res, err = est.EstimateCtx(ctx, tb)
-	} else {
-		res, err = est.EstimatePointCtx(ctx, tb)
-	}
+	res, err := req.estimator().Run(ctx, tb, core.RunOptions{Interval: *req.Interval})
 	if err != nil {
 		return nil, err
 	}

@@ -81,8 +81,8 @@ func TestLeaderPanicReleasesFollowers(t *testing.T) {
 	if got := rec.Panics.Load(); got != 1 {
 		t.Fatalf("panic counter = %d, want 1 (one recovery serves the whole burst)", got)
 	}
-	if f.CacheLen() != 0 {
-		t.Fatalf("cache holds %d entries after a failed compute, want 0", f.CacheLen())
+	if f.cache.Len() != 0 {
+		t.Fatalf("cache holds %d entries after a failed compute, want 0", f.cache.Len())
 	}
 
 	// The key must be free again: a follow-up request becomes a new leader
@@ -143,8 +143,8 @@ func TestFollowerCancelReturnsPromptly(t *testing.T) {
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("leader should be unaffected by the follower's exit: %v", err)
 	}
-	if f.CacheLen() != 1 {
-		t.Fatalf("leader's result not cached (len = %d)", f.CacheLen())
+	if f.cache.Len() != 1 {
+		t.Fatalf("leader's result not cached (len = %d)", f.cache.Len())
 	}
 }
 
@@ -233,8 +233,8 @@ func TestFailedComputeNotCached(t *testing.T) {
 	if _, _, err := f.Estimate(context.Background(), threeSourceRequest()); !errors.Is(err, injected) {
 		t.Fatalf("first request err = %v, want the injected failure", err)
 	}
-	if f.CacheLen() != 0 {
-		t.Fatalf("failed compute was cached (len = %d)", f.CacheLen())
+	if f.cache.Len() != 0 {
+		t.Fatalf("failed compute was cached (len = %d)", f.cache.Len())
 	}
 	b, st, err := f.Estimate(context.Background(), threeSourceRequest())
 	if err != nil {

@@ -165,12 +165,6 @@ func (f *Front) AcquireSlot(ctx context.Context) error { return f.gate.Acquire(c
 // ReleaseSlot returns a slot claimed with AcquireSlot.
 func (f *Front) ReleaseSlot() { f.gate.Release() }
 
-// CacheLen reports the number of cached responses (for tests and expvar).
-func (f *Front) CacheLen() int { return f.cache.Len() }
-
-// QueueDepth reports callers currently waiting on the admission gate.
-func (f *Front) QueueDepth() int { return f.gate.Waiting() }
-
 // Cached returns the stored encoded response bytes for a canonical request
 // key, refreshing its recency, without ever computing. It backs the
 // fleet-internal GET /v1/cache/{key} endpoint: peers receive the exact

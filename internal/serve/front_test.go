@@ -143,8 +143,8 @@ func TestFrontDistinctRequestsBothCompute(t *testing.T) {
 	if n := cc.calls.Load(); n != 2 {
 		t.Fatalf("%d fits for two distinct requests, want 2", n)
 	}
-	if f.CacheLen() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", f.CacheLen())
+	if f.cache.Len() != 2 {
+		t.Fatalf("cache holds %d entries, want 2", f.cache.Len())
 	}
 }
 

@@ -178,9 +178,6 @@ func (e *Edge) Addr() string {
 // Ready reports whether the front accepts traffic (false once draining).
 func (e *Edge) Ready() bool { return e.ready.Load() }
 
-// SetReady flips the readiness flag.
-func (e *Edge) SetReady(ready bool) { e.ready.Store(ready) }
-
 // Serve listens on addr and serves h until ctx is cancelled, then shuts
 // down gracefully: readiness goes false so load balancers and the fleet
 // prober stop routing, beforeShutdown (when non-nil) runs with a context

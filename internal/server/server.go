@@ -135,12 +135,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // With "-addr :0" this is how callers learn the picked port.
 func (s *Server) Addr() string { return s.edge.Addr() }
 
-// Jobs exposes the job store (for tests and the CLI's drain path).
-func (s *Server) Jobs() *serve.Jobs { return s.jobs }
-
 // SetReady flips the /readyz probe; Run clears it when shutdown begins so
 // load balancers stop routing before the listener closes.
-func (s *Server) SetReady(ready bool) { s.edge.SetReady(ready) }
+func (s *Server) SetReady(ready bool) { s.edge.ready.Store(ready) }
 
 // Run serves on addr until ctx is cancelled, then shuts down gracefully:
 // readiness goes false, pending jobs are cancelled, PreDrain runs,

@@ -428,7 +428,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 
 	// j1 holds the slot, j2 queues behind it.
 	waitQ := time.Now().Add(10 * time.Second)
-	for front.QueueDepth() == 0 {
+	for front.Load().QueueWaiting == 0 {
 		if time.Now().After(waitQ) {
 			t.Fatal("second job never queued")
 		}
@@ -440,7 +440,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 	// the running one finish, so the freed slot cannot be re-claimed.
 	waitCancel := time.Now().Add(10 * time.Second)
 	for {
-		g2, _ := s.Jobs().Get(j2.ID)
+		g2, _ := s.jobs.Get(j2.ID)
 		if g2.State.Terminal() {
 			break
 		}
@@ -459,8 +459,8 @@ func TestRunGracefulShutdown(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("Run never returned")
 	}
-	g1, _ := s.Jobs().Get(j1.ID)
-	g2, _ := s.Jobs().Get(j2.ID)
+	g1, _ := s.jobs.Get(j1.ID)
+	g2, _ := s.jobs.Get(j2.ID)
 	if g1.State != serve.JobDone || g1.Output != "drained" {
 		t.Fatalf("running job after shutdown: %+v", g1)
 	}

@@ -80,7 +80,7 @@ func TestSourcesObserveOnlyUsedOrSpoofed(t *testing.T) {
 	}
 	// NetFlow sources DO contain unused (spoofed) addresses.
 	for _, n := range []Name{SWIN, CALT} {
-		spoofed := ipset.Diff(f.obs[n], f.used).Len()
+		spoofed := f.obs[n].Len() - ipset.IntersectCount(f.obs[n], f.used)
 		if spoofed == 0 {
 			t.Errorf("%s should contain spoofed addresses", n)
 		}
@@ -182,7 +182,7 @@ func TestSpoofScaleZeroDisables(t *testing.T) {
 	clean := NewSuite(f.u, 11)
 	clean.SpoofScale = 0
 	o := clean.Collect(SWIN, f.w, f.rt)
-	spoofed := ipset.Diff(o.Addrs, f.used).Len()
+	spoofed := o.Addrs.Len() - ipset.IntersectCount(o.Addrs, f.used)
 	if spoofed != 0 {
 		t.Fatalf("SpoofScale=0 still produced %d spoofed addresses", spoofed)
 	}
@@ -218,8 +218,8 @@ func TestCALTSpikesMar2014(t *testing.T) {
 	rtEarly := bgp.Aggregate(f.u, dec2013, 5)
 	early := f.suite.Collect(CALT, dec2013, rtEarly)
 	late := f.obs[CALT] // ends Jun 2014, includes the spike
-	spoofEarly := ipset.Diff(early.Addrs, f.u.UsedAt(dec2013.End)).Len()
-	spoofLate := ipset.Diff(late, f.used).Len()
+	spoofEarly := early.Addrs.Len() - ipset.IntersectCount(early.Addrs, f.u.UsedAt(dec2013.End))
+	spoofLate := late.Len() - ipset.IntersectCount(late, f.used)
 	if spoofLate < 3*spoofEarly {
 		t.Errorf("CALT spoof volume should spike ≈10x: %d -> %d", spoofEarly, spoofLate)
 	}

@@ -113,9 +113,11 @@ func TestCleanRemovesSpoofed(t *testing.T) {
 		}
 	}
 	// Overall spoofed survivors.
-	spoofed := ipset.Diff(s.dirty, s.genuine)
-	surviving := ipset.IntersectCount(clean, spoofed)
-	if frac := float64(surviving) / float64(spoofed.Len()); frac > 0.30 {
+	// |clean ∩ (dirty \ genuine)| over |dirty \ genuine|.
+	cleanDirty := ipset.Intersect(clean, s.dirty)
+	surviving := cleanDirty.Len() - ipset.IntersectCount(cleanDirty, s.genuine)
+	spoofed := s.dirty.Len() - ipset.IntersectCount(s.dirty, s.genuine)
+	if frac := float64(surviving) / float64(spoofed); frac > 0.30 {
 		t.Errorf("%.1f%% of spoofed addresses survive filtering", 100*frac)
 	}
 }

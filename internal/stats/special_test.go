@@ -219,3 +219,81 @@ func TestTruncationCrossoverMatchesPredicate(t *testing.T) {
 		}
 	}
 }
+
+// Reference evaluations: GammaQ and PoissonCDF in linear space, and the
+// truncated moments from independent CDF evaluations per bound. The
+// kernel works in log space and calls TruncPoisson.Moments instead.
+
+// GammaQ returns the regularized upper incomplete gamma Q(a, x) = 1−P(a,x).
+func GammaQ(a, x float64) float64 {
+	switch {
+	case x <= 0:
+		return 1
+	case x < a+1:
+		return 1 - gammaPSeries(a, x)
+	default:
+		return math.Exp(logGammaQCF(a, x))
+	}
+}
+
+// PoissonCDF returns F(k; lambda) = P(X <= k) for X ~ Poisson(lambda).
+// Identity: F(k; λ) = Q(k+1, λ).
+func PoissonCDF(k float64, lambda float64) float64 {
+	if k < 0 {
+		return 0
+	}
+	if lambda <= 0 {
+		return 1
+	}
+	return GammaQ(math.Floor(k)+1, lambda)
+}
+
+// logF returns ln F(l; λ) for the truncation bound.
+func (tp TruncPoisson) logF(l float64) float64 {
+	if math.IsInf(tp.Limit, 1) {
+		return 0
+	}
+	return LogPoissonCDF(l, tp.Lambda)
+}
+
+// Mean returns E[X | X <= Limit] = λ F(l−1)/F(l).
+func (tp TruncPoisson) Mean() float64 {
+	if math.IsInf(tp.Limit, 1) || TruncationNegligible(tp.Limit, tp.Lambda) {
+		return tp.Lambda
+	}
+	if tp.Limit <= 0 {
+		return 0
+	}
+	return tp.Lambda * math.Exp(tp.logF(tp.Limit-1)-tp.logF(tp.Limit))
+}
+
+// Variance returns Var[X | X <= Limit] via
+// E[X(X−1)] = λ² F(l−2)/F(l).
+func (tp TruncPoisson) Variance() float64 {
+	if math.IsInf(tp.Limit, 1) || TruncationNegligible(tp.Limit, tp.Lambda) {
+		return tp.Lambda
+	}
+	if tp.Limit <= 0 {
+		return 0
+	}
+	mu := tp.Mean()
+	if tp.Limit < 2 {
+		// Support {0,1}: Bernoulli-like; E[X(X-1)] = 0.
+		return mu * (1 - mu)
+	}
+	exx1 := tp.Lambda * tp.Lambda * math.Exp(tp.logF(tp.Limit-2)-tp.logF(tp.Limit))
+	v := exx1 + mu - mu*mu
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+// LogProb returns the truncated log-pmf ln[p(k;λ)/F(l;λ)] for k in
+// [0, Limit]; −Inf outside the support.
+func (tp TruncPoisson) LogProb(k float64) float64 {
+	if k < 0 || k > tp.Limit {
+		return math.Inf(-1)
+	}
+	return LogPoissonPMF(k, tp.Lambda) - tp.logF(tp.Limit)
+}

@@ -114,16 +114,6 @@ func (lt *LabelTable) ID(key24 uint32) int {
 	return int(lt.ids[key24-lt.lo])
 }
 
-// LabelOf returns the label of address a, or false when a has no covering
-// allocation — the dense-table equivalent of Label.
-func (lt *LabelTable) LabelOf(a ipv4.Addr) (string, bool) {
-	id := lt.ID(a.Slash24Index())
-	if id < 0 {
-		return "", false
-	}
-	return lt.labels[id], true
-}
-
 // HistSet holds one window's per-stratum capture histograms under one key:
 // the joint fold of the parallel source sets, partitioned by stratum. It
 // is the sweep experiments' shared intermediate — per-stratum contingency
@@ -135,26 +125,13 @@ type HistSet struct {
 	hists [][]int64 // stratum ID → histogram (length 1<<T); nil = unobserved
 }
 
-// CaptureHistograms folds the parallel source sets into per-stratum
-// capture histograms in one pass over the merged source pages. Addresses
-// outside any allocation are dropped (they cannot be labelled), exactly as
-// in Split. The per-stratum histogram equals
-// ipset.CaptureHistogram(Split(u, sets, k)[label]) cell for cell.
-func CaptureHistograms(lt *LabelTable, sets []*ipset.Set) *HistSet {
-	telemetry.Active().HistogramFold()
-	return &HistSet{
-		T:     len(sets),
-		lt:    lt,
-		hists: ipset.CaptureHistogramsBy(sets, lt.NumStrata(), lt.ID),
-	}
-}
-
 // CaptureHistogramsAll folds the parallel source sets into per-stratum
 // capture histograms for several keys' label tables in a single pass over
 // the merged source pages: the per-page fold — the dominant cost, and
 // identical for every key — runs once, and only the cheap page→stratum
-// scatter differs per key. Each returned HistSet is cell-for-cell
-// identical to CaptureHistograms(lts[i], sets).
+// scatter differs per key. Addresses outside any allocation are dropped
+// (they cannot be labelled), exactly as in Split: each stratum's histogram
+// equals ipset.CaptureHistogram(Split(u, sets, k)[label]) cell for cell.
 func CaptureHistogramsAll(lts []*LabelTable, sets []*ipset.Set) []*HistSet {
 	telemetry.Active().HistogramFold()
 	groupings := make([]ipset.Grouping, len(lts))

@@ -56,9 +56,15 @@ func TestCaptureHistogramsDifferentialSplit(t *testing.T) {
 		return i < 200000
 	})
 	sets := []*ipset.Set{used, half, third}
-	for _, k := range Keys() {
-		lt := BuildLabelTable(u, k)
-		hs := CaptureHistograms(lt, sets)
+	keys := Keys()
+	lts := make([]*LabelTable, len(keys))
+	for i, k := range keys {
+		lts[i] = BuildLabelTable(u, k)
+	}
+	// One fold for every key, as Env.StratHists runs it.
+	all := CaptureHistogramsAll(lts, sets)
+	for i, k := range keys {
+		hs := all[i]
 		split := Split(u, sets, k)
 		seen := 0
 		hs.Range(func(label string, hist []int64) bool {
@@ -97,7 +103,7 @@ func TestHistSetLookups(t *testing.T) {
 	u := testU()
 	sets := []*ipset.Set{u.UsedAt(at())}
 	lt := BuildLabelTable(u, ByRIR)
-	hs := CaptureHistograms(lt, sets)
+	hs := CaptureHistogramsAll([]*LabelTable{lt}, sets)[0]
 	hs.Range(func(label string, hist []int64) bool {
 		got := hs.Hist(label)
 		if &got[0] != &hist[0] {
@@ -108,4 +114,14 @@ func TestHistSetLookups(t *testing.T) {
 	if hs.Hist("no-such-stratum") != nil {
 		t.Fatal("unknown label must return nil")
 	}
+}
+
+// LabelOf returns the label of address a, or false when a has no covering
+// allocation — the dense-table equivalent of Label.
+func (lt *LabelTable) LabelOf(a ipv4.Addr) (string, bool) {
+	id := lt.ID(a.Slash24Index())
+	if id < 0 {
+		return "", false
+	}
+	return lt.labels[id], true
 }

@@ -11,8 +11,8 @@
 //
 // The main entry points are NewRecorder, Enable/Disable/Active (the
 // process-wide recorder used by the instrumented hot paths), the nil-safe
-// Recorder methods called from stats.Lattice.Fit, core.SelectModel,
-// core.BootstrapInterval, crossval.Run, experiments.Env,
+// Recorder methods called from stats.Lattice.Fit, core.SelectModelCtx,
+// core.BootstrapIntervalCtx, crossval.Run, experiments.Env,
 // parallel.ForEach, the serving layer (serve/server) and the streaming
 // pipeline (ingest.Pipeline: event, drop and rotation counters, the
 // per-tick latency histogram, watch subscriptions and shed tick

@@ -102,15 +102,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Max returns the largest observed value (0 when empty).
-func (h *Histogram) Max() int64 { return h.max.Load() }
-
 // Mean returns the arithmetic mean of the observations (0 when empty).
 func (h *Histogram) Mean() float64 {
 	n := h.count.Load()
@@ -176,14 +167,14 @@ type Recorder struct {
 	WarmStartSaved  Counter   // Fisher iterations saved by warm-started profile evals
 	SweepWarmStarts Counter   // final fits warm-started from an adjacent window's fit
 
-	// Stratified sweeps (strata.CaptureHistograms).
+	// Stratified sweeps (strata.CaptureHistogramsAll).
 	HistogramFolds Counter // labeled capture-histogram folds (one per window×key pass)
 
 	// Fit scratch pool (core fit path).
 	PoolGets   Counter // scratch checkouts
 	PoolMisses Counter // checkouts that had to allocate
 
-	// Stepwise model selection (core.SelectModel).
+	// Stepwise model selection (core.SelectModelCtx).
 	Selections    Counter   // completed selection searches
 	SelectRounds  Counter   // forward-stepwise rounds across searches
 	CandidateFits Counter   // candidate terms fitted across rounds
@@ -192,7 +183,7 @@ type Recorder struct {
 	Polished      Counter   // screened candidate fits resumed to convergence
 	ICImprovement Histogram // IC drop per accepted term, rounded to integer IC units
 
-	// Parametric bootstrap (core.BootstrapInterval).
+	// Parametric bootstrap (core.BootstrapIntervalCtx).
 	BootstrapReplicates Counter // replicates drawn
 	BootstrapFailures   Counter // replicates discarded (empty resample or failed refit)
 

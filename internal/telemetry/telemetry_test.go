@@ -56,14 +56,14 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{0, 1, 2, 3, 4, 7, 8, 200, -5} {
 		h.Observe(v)
 	}
-	if h.Count() != 9 {
-		t.Fatalf("count = %d, want 9", h.Count())
+	if h.Snapshot().Count != 9 {
+		t.Fatalf("count = %d, want 9", h.Snapshot().Count)
 	}
-	if h.Sum() != 0+1+2+3+4+7+8+200+0 {
-		t.Fatalf("sum = %d", h.Sum())
+	if h.Snapshot().Sum != 0+1+2+3+4+7+8+200+0 {
+		t.Fatalf("sum = %d", h.Snapshot().Sum)
 	}
-	if h.Max() != 200 {
-		t.Fatalf("max = %d, want 200", h.Max())
+	if h.Snapshot().Max != 200 {
+		t.Fatalf("max = %d, want 200", h.Snapshot().Max)
 	}
 	s := h.Snapshot()
 	want := map[int64]int64{0: 2, 1: 1, 3: 2, 7: 2, 15: 1, 255: 1}
@@ -91,7 +91,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Mean() != 0 || h.Max() != 0 || h.Count() != 0 {
+	if h.Mean() != 0 || h.Snapshot().Max != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	if s := h.Snapshot(); len(s.Buckets) != 0 {
@@ -148,8 +148,8 @@ func TestRecorderEmissions(t *testing.T) {
 	if r.Fits.Load() != 2 || r.FitNonConverged.Load() != 1 {
 		t.Fatalf("fits=%d nonconv=%d", r.Fits.Load(), r.FitNonConverged.Load())
 	}
-	if r.FitIters.Sum() != 10 {
-		t.Fatalf("iteration sum = %d, want 10", r.FitIters.Sum())
+	if r.FitIters.Snapshot().Sum != 10 {
+		t.Fatalf("iteration sum = %d, want 10", r.FitIters.Snapshot().Sum)
 	}
 	r.SelectRound(20)
 	r.SelectRound(15)
@@ -158,8 +158,8 @@ func TestRecorderEmissions(t *testing.T) {
 	if r.SelectRounds.Load() != 2 || r.CandidateFits.Load() != 35 {
 		t.Fatalf("rounds=%d candidates=%d", r.SelectRounds.Load(), r.CandidateFits.Load())
 	}
-	if r.ICImprovement.Sum() != 10 {
-		t.Fatalf("IC improvement sum = %d, want 10", r.ICImprovement.Sum())
+	if r.ICImprovement.Snapshot().Sum != 10 {
+		t.Fatalf("IC improvement sum = %d, want 10", r.ICImprovement.Snapshot().Sum)
 	}
 	r.BootstrapDone(50, 2)
 	if r.BootstrapReplicates.Load() != 50 || r.BootstrapFailures.Load() != 2 {

@@ -259,3 +259,79 @@ func BenchmarkContains(b *testing.B) {
 		tr.Contains(ipv4.Addr(uint32(i) * 2654435761))
 	}
 }
+
+// The lookups below are test-side helpers: the binaries reach the trie
+// through Insert, Contains and Prefixes/Walk only.
+
+// ContainsPrefix reports whether the entire prefix p is covered.
+func (t *Trie) ContainsPrefix(p ipv4.Prefix) bool {
+	n := t.root
+	for depth := 0; n != nil; depth++ {
+		if n.covered {
+			return true
+		}
+		if depth == p.Bits {
+			return false // would need the whole subtree covered, but it is not collapsed
+		}
+		n = n.children[bit(p.Base, depth)]
+	}
+	return false
+}
+
+// Match returns the shortest covering prefix of a and true, or the zero
+// Prefix and false when a is not in the trie. Because the trie aggregates,
+// the shortest covering prefix is the unique maximal block containing a.
+func (t *Trie) Match(a ipv4.Addr) (ipv4.Prefix, bool) {
+	n := t.root
+	for depth := 0; n != nil; depth++ {
+		if n.covered {
+			return ipv4.NewPrefix(a, depth), true
+		}
+		if depth == 32 {
+			break
+		}
+		n = n.children[bit(a, depth)]
+	}
+	return ipv4.Prefix{}, false
+}
+
+// AddrCount returns the total number of addresses covered by the trie.
+func (t *Trie) AddrCount() uint64 {
+	var n uint64
+	t.Walk(func(p ipv4.Prefix) bool {
+		n += p.Size()
+		return true
+	})
+	return n
+}
+
+// Slash24Count returns the number of whole /24 subnets covered; covered
+// blocks smaller than /24 contribute zero.
+func (t *Trie) Slash24Count() uint64 {
+	var n uint64
+	t.Walk(func(p ipv4.Prefix) bool {
+		n += uint64(p.Slash24Count())
+		return true
+	})
+	return n
+}
+
+// Clone returns a deep copy of t.
+func (t *Trie) Clone() *Trie {
+	c := &Trie{}
+	if t.root != nil {
+		c.root = cloneNode(t.root)
+	}
+	return c
+}
+
+func cloneNode(n *node) *node {
+	cp := &node{covered: n.covered}
+	if n.children[0] != nil {
+		cp.children[0] = cloneNode(n.children[0])
+	}
+	if n.children[1] != nil {
+		cp.children[1] = cloneNode(n.children[1])
+	}
+	return cp
+}

@@ -315,7 +315,3 @@ func init() {
 		lastByteWeight[b] *= 256 / sum
 	}
 }
-
-// LastByteWeight exposes the final-octet usage weight (mean 1) for tests
-// and the spoof-filter validation.
-func LastByteWeight(b byte) float64 { return lastByteWeight[b] }

@@ -309,12 +309,12 @@ func TestClassString(t *testing.T) {
 func TestLastByteWeightNormalised(t *testing.T) {
 	sum := 0.0
 	for b := 0; b < 256; b++ {
-		sum += LastByteWeight(byte(b))
+		sum += lastByteWeight[byte(b)]
 	}
 	if sum < 255.9 || sum > 256.1 {
 		t.Fatalf("weights sum to %v, want 256", sum)
 	}
-	if LastByteWeight(1) <= LastByteWeight(200) {
+	if lastByteWeight[1] <= lastByteWeight[200] {
 		t.Fatal(".1 must be more common than high bytes")
 	}
 }

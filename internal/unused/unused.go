@@ -13,15 +13,6 @@ import (
 // length (x_i in the paper).
 type Vector [33]int64
 
-// Addresses returns the total number of addresses in vacant blocks.
-func (x Vector) Addresses() float64 {
-	var n float64
-	for i := 0; i <= 32; i++ {
-		n += float64(x[i]) * float64(uint64(1)<<(32-uint(i)))
-	}
-	return n
-}
-
 // AddressesBySize returns the addresses held in vacant blocks of each
 // prefix length (Figure 12's y-axis).
 func (x Vector) AddressesBySize() [33]float64 {

@@ -314,3 +314,12 @@ func BenchmarkFreeVector(b *testing.B) {
 		FreeVector(used, []ipv4.Prefix{space})
 	}
 }
+
+// Addresses returns the total number of addresses in vacant blocks.
+func (x Vector) Addresses() float64 {
+	var n float64
+	for i := 0; i <= 32; i++ {
+		n += float64(x[i]) * float64(uint64(1)<<(32-uint(i)))
+	}
+	return n
+}

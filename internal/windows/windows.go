@@ -10,11 +10,6 @@ type Window struct {
 	Start, End time.Time
 }
 
-// Contains reports whether t lies inside the window.
-func (w Window) Contains(t time.Time) bool {
-	return !t.Before(w.Start) && t.Before(w.End)
-}
-
 // Label renders the window's end month, e.g. "Dec 2011", matching the
 // x-axis labels of Figures 4–6.
 func (w Window) Label() string {

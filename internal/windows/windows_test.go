@@ -66,3 +66,8 @@ func TestSeriesOverlap(t *testing.T) {
 		}
 	}
 }
+
+// Contains reports whether t lies inside the window.
+func (w Window) Contains(t time.Time) bool {
+	return !t.Before(w.Start) && t.Before(w.End)
+}

@@ -12,12 +12,13 @@
 # first, so a drift in machine speed does not favour one side.
 #
 # For every end-to-end metric of BENCHMARK.json it reports the per-pair
-# ratios (this checkout / <rev>), their median, and the sign count: the
-# pairs in which this checkout was better. A metric is "improved" or
-# "regressed" only when at least 90% of the pairs agree on the direction
-# and the medians differ by more than the interquartile range of <rev>'s
-# runs; otherwise it is "no change". batch_abs_err_pct is a science
-# metric, not a timing: it must be equal in every pair.
+# ratios (this checkout / <rev>), their median, the sign count (the pairs
+# in which this checkout was better) and a sign-test confidence interval
+# for the median ratio. A metric is "improved" or "regressed" only when
+# that interval excludes 1 and the median ratio moves by more than 3%;
+# otherwise it is "no change" (scripts/ab_verdict.jq holds the rule).
+# batch_abs_err_pct is a science metric, not a timing: it must be equal in
+# every pair.
 #
 # Writes BENCH_<date>.ab.json (BENCH_<date>.N.ab.json if that exists) and
 # exits 1 when a run is incorrect, fails operations or the science metric
@@ -75,20 +76,18 @@ while [ -e "$out" ]; do
     n=$((n + 1))
 done
 
-jq -s \
+jq -s -L scripts \
     --slurpfile spec BENCHMARK.json \
     --arg rev "$rev" --arg base "$base_commit" --arg change "$change_commit" \
     --arg workload "$workload" --arg date "$date" \
     --argjson seconds "$seconds" --argjson cpus "$(nproc)" '
-# q(p): the p-quantile of a non-empty array, interpolating between ranks.
-def q(p): sort as $s | ($s | length) as $n | (($n - 1) * p) as $h | ($h | floor) as $lo
-    | $s[$lo] + ($h - $lo) * ($s[[$lo + 1, $n - 1] | min] - $s[$lo]);
+include "ab_verdict";
 def side($s): map(select(.side == $s)) | sort_by(.pair);
 side("base") as $b | side("change") as $c
 | ($b | length) as $pairs
-| ((($pairs * 9 + 9) / 10) | floor) as $agree   # ceil(0.9 * pairs)
+| ([range(0; $pairs)] | sign_ci) as $ci   # k and coverage depend on the pair count only
 | {
-    schema: "ghosts.ab/v1",
+    schema: "ghosts.ab/v2",
     date: $date,
     workload: $workload,
     seconds: $seconds,
@@ -96,7 +95,8 @@ side("base") as $b | side("change") as $c
     base: {rev: $rev, commit: $base},
     change: {commit: $change},
     pairs: $pairs,
-    rule: "improved/regressed: at least \($agree) of \($pairs) pairs agree and the medians differ by more than the base runs'\'' interquartile range",
+    rule: (if $ci == null then "no verdicts: a sign-test interval needs at least 6 pairs"
+           else "improved/regressed: the sign-test interval for the median per-pair ratio (order statistics \($ci.k) and \($pairs + 1 - $ci.k) of \($pairs), \($ci.coverage * 1000 | round / 10)% coverage) excludes 1 and the median ratio moves by more than \(min_effect * 100)%" end),
     runs: [range(0; $pairs) as $i | {
         pair: $b[$i].pair, seed: $b[$i].seed,
         first: (if $b[$i].order == 1 then "base" else "change" end),
@@ -109,23 +109,19 @@ side("base") as $b | side("change") as $c
         | (if $m.better == "lower" then 1 else -1 end) as $dir
         | ([range(0; $pairs) | select(($cv[.] - $bv[.]) * $dir < 0)] | length) as $wins
         | ([range(0; $pairs) | select(($cv[.] - $bv[.]) * $dir > 0)] | length) as $losses
-        | ($bv | q(0.75) - q(0.25)) as $iqr
-        | (($cv | q(0.5)) - ($bv | q(0.5))) as $shift
-        | {key: $m.name, value: {
+        | [range(0; $pairs) | if $bv[.] == 0 then null else $cv[.] / $bv[.] end] as $ratios
+        | {key: $m.name, value: ({
             better: $m.better,
             bound: $m.bound,
-            ratios: [range(0; $pairs) | if $bv[.] == 0 then null else $cv[.] / $bv[.] end],
-            median_ratio: ([range(0; $pairs) | select($bv[.] != 0) | $cv[.] / $bv[.]] | if length > 0 then q(0.5) else null end),
+            ratios: $ratios,
+            median_ratio: ($ratios | map(select(. != null)) | if length > 0 then q(0.5) else null end),
+            ratio_interval: ($ratios | sign_ci | if . == null then null else [.lo, .hi] end),
             better_pairs: $wins,
             worse_pairs: $losses,
             base_median: ($bv | q(0.5)),
-            base_iqr: $iqr,
             change_median: ($cv | q(0.5)),
-            equal_every_pair: ($bv == $cv),
-            verdict: (if $wins >= $agree and $shift * $dir < 0 and ($shift | fabs) > $iqr then "improved"
-                      elif $losses >= $agree and $shift * $dir > 0 and ($shift | fabs) > $iqr then "regressed"
-                      else "no change" end)
-        }}) | from_entries),
+            equal_every_pair: ($bv == $cv)
+        } | .verdict = verdict)}) | from_entries),
     failed_runs: ([.[] | select(.result.correct | not)] | length),
     failed_ops: {base: ([$b[].result.failed] | add), change: ([$c[].result.failed] | add)}
   }
@@ -134,7 +130,7 @@ side("base") as $b | side("change") as $c
 ' "$tmp/runs.jsonl" > "$out"
 
 jq -r '"\(.workload), \(.pairs) pairs, \(.change.commit) vs \(.base.rev) (\(.base.commit[0:12]))",
-    (.metrics | to_entries[] | "  \(.key): median ratio \(.value.median_ratio), better in \(.value.better_pairs)/\(.value.ratios | length), \(.value.verdict)"),
+    (.metrics | to_entries[] | "  \(.key): median ratio \(.value.median_ratio) in \(.value.ratio_interval), better in \(.value.better_pairs)/\(.value.ratios | length), \(.value.verdict)"),
     "  batch_abs_err_pct equal in every pair: \(.metrics.batch_abs_err_pct.equal_every_pair)",
     "  incorrect runs: \(.failed_runs); failed operations: base \(.failed_ops.base), change \(.failed_ops.change)",
     "wrote \(input_filename)"' "$out"

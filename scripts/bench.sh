@@ -8,18 +8,18 @@
 #   scripts/bench.sh                          # full suite, 1 iteration per run
 #   scripts/bench.sh 'CrossValidation' 5x     # one benchmark, 5 iterations per run
 #
-# Every benchmark runs 5 times (go test -count 5). The snapshot records,
-# per benchmark and metric, the median of the runs ("metrics") and their
-# min–max range ("spread"), so the noise of each number is stated next to
-# it. The first run of a benchmark pays the shared Env's lazy pipelines, so
-# a spread includes that cold run. Needs jq.
+# Every benchmark runs 6 times (go test -count 6). The first run of a
+# benchmark pays the shared Env's lazy pipelines, so it is a warm-up and
+# is discarded. The snapshot records, per benchmark and metric, the median
+# of the other 5 runs ("metrics") and their min–max range ("spread"), so
+# the noise of each warm number is stated next to it. Needs jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 . scripts/lib.sh
 
 PATTERN="${1:-.}"
 BENCHTIME="${2:-1x}"
-COUNT=5
+COUNT=5  # recorded runs per benchmark, after one discarded warm-up run
 command -v jq > /dev/null || { echo "bench.sh: jq is required" >&2; exit 2; }
 # No-clobber naming: never overwrite an existing snapshot (same-day reruns
 # get a .2/.3/... suffix) — the previous snapshot is the baseline the
@@ -34,11 +34,12 @@ done
 TXT="$(mktemp)"
 trap 'rm -f "$TXT"' EXIT
 
-go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$TXT"
+go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$((COUNT + 1))" . | tee "$TXT"
 
 # Turn each `BenchmarkName  iters  123 ns/op  456 B/op  7 allocs/op  8.9 metric`
-# line into one {name, metrics{unit: value}} run, then fold the runs of
-# each benchmark into its median and min–max spread per metric. The first
+# line into one {name, metrics{unit: value}} run, drop each benchmark's
+# first (warm-up) run, then fold the rest into its median and min–max
+# spread per metric. The first
 # element records the parallelism the numbers were taken under (GOMAXPROCS
 # and the host CPU count; go test also appends GOMAXPROCS to every name
 # above 1): a multi-core snapshot is not comparable to a single-core one.
@@ -61,8 +62,8 @@ def median: sort as $s | ($s | length) as $n
     | if $n % 2 == 1 then $s[($n - 1) / 2] else ($s[$n / 2 - 1] + $s[$n / 2]) / 2 end;
 . as $all
 | (reduce $all[].name as $n ([]; if any(.[]; . == $n) then . else . + [$n] end)) as $names
-| [{meta: {gomaxprocs: $gmp, host_cpus: $ncpu, count: $count}}]
-  + [$names[] as $name | [$all[] | select(.name == $name) | .metrics] as $runs
+| [{meta: {gomaxprocs: $gmp, host_cpus: $ncpu, count: $count, warmup: 1}}]
+  + [$names[] as $name | [$all[] | select(.name == $name) | .metrics][1:] as $runs
      | ($runs[0] | keys_unsorted) as $units
      | {name: $name, runs: ($runs | length),
         metrics: (reduce $units[] as $u ({}; .[$u] = ([$runs[][$u]] | median))),

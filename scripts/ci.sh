@@ -38,6 +38,13 @@ if [ -n "$STALE" ]; then
     exit 1
 fi
 
+echo "== link audit =="
+# Every function declared under internal/ must be linked by some binary
+# (cmd/, examples/ or ghostbench, built with inlining off), or be named in
+# scripts/linkaudit.keep with its reason. Code that only tests call lives
+# in _test.go files.
+bash scripts/linkaudit.sh -check
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -77,10 +84,10 @@ echo "== shared stepwise prologue (-race) =="
 # are polished to full convergence (DESIGN.md §8.1). The selected model,
 # IC and coefficients must match the reference search, which fits every
 # candidate to full tolerance, bit for bit, with no more IRLS iterations,
-# at every worker count, and the cancellable and parallel variants must
-# stay bit-identical: a named gate, race-enabled and uncached.
+# at every worker count, and a sweep's warm-started fit must select the
+# cold fit's model and N: a named gate, race-enabled and uncached.
 go test -race -count=1 \
-    -run 'TestSelectSharedPrologue|TestScreenedSelectionMatchesFullSearch|TestSelectModelDeterministic|TestCtxVariantsBitIdentical' \
+    -run 'TestSelectSharedPrologue|TestScreenedSelectionMatchesFullSearch|TestSelectModelDeterministic|TestRunWarmStartContract' \
     ./internal/core
 
 echo "== strata fold/Split differential (-race) =="
