@@ -79,7 +79,12 @@ func main() {
 
 	// A passive log for the third capture source.
 	suite := sources.NewSuite(u, 123)
-	web := suite.Collect(sources.WEB, w, nil).Addrs
+	var web *ipset.Set
+	for _, o := range suite.CollectAll(w, nil) {
+		if o.Name == sources.WEB {
+			web = o.Addrs
+		}
+	}
 	webHere := ipset.New()
 	web.Range(func(a ipv4.Addr) bool {
 		if target.Contains(a) {

@@ -9,6 +9,11 @@
 // which is all the contingency table needs.
 //
 //	go run ./examples/securecr
+//
+// It takes 6–8 minutes on a 2-core VM. Collecting the three
+// operators' 882,397 addresses takes about a second and a half; the rest
+// is the protocol's ~2.6M modular exponentiations (big.Int.Exp), because
+// every batch is raised under all three secret keys.
 package main
 
 import (
@@ -32,12 +37,16 @@ func main() {
 	rt := bgp.Aggregate(u, w, 2)
 	suite := sources.NewSuite(u, 77)
 
+	collected := map[sources.Name]*ipset.Set{}
+	for _, o := range suite.CollectAll(w, rt) {
+		collected[o.Name] = o.Addrs
+	}
 	operators := []sources.Name{sources.IPING, sources.WEB, sources.GAME}
 	var sets []*ipset.Set
 	var parties []*mpcr.Party
 	fmt.Println("Operators and their (private) observation sets:")
 	for i, n := range operators {
-		obs := suite.Collect(n, w, rt).Addrs
+		obs := collected[n]
 		sets = append(sets, obs)
 		p, err := mpcr.NewParty(string(n), uint64(1000+i), obs)
 		if err != nil {

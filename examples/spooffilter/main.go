@@ -18,6 +18,7 @@ import (
 	"ghosts/internal/rng"
 	"ghosts/internal/sources"
 	"ghosts/internal/spoof"
+	"ghosts/internal/trie"
 	"ghosts/internal/universe"
 	"ghosts/internal/windows"
 )
@@ -34,7 +35,7 @@ func main() {
 	// space (DDoS attacks and nmap decoy scans, §4.5).
 	clean := *suite
 	clean.SpoofScale = 0
-	genuine := clean.Collect(sources.SWIN, w, routed).Addrs
+	genuine := collect(&clean, w, routed)[sources.SWIN]
 
 	collector, err := netflow.NewCollector()
 	if err != nil {
@@ -122,13 +123,14 @@ func main() {
 		100*(float64(dirty.Slash24Len())/float64(genuine.Slash24Len())-1))
 
 	// The paper's two-stage filter, trained on the spoof-free sources.
+	obs := collect(suite, w, routed)
 	spoofFree := ipset.New()
 	for _, n := range []sources.Name{sources.WIKI, sources.WEB, sources.MLAB, sources.GAME} {
-		spoofFree.AddSet(suite.Collect(n, w, routed).Addrs)
+		spoofFree.AddSet(obs[n])
 	}
 	byteRef := spoofFree.Clone()
 	for _, n := range []sources.Name{sources.SPAM, sources.IPING, sources.TPING} {
-		byteRef.AddSet(suite.Collect(n, w, routed).Addrs)
+		byteRef.AddSet(obs[n])
 	}
 	f := spoof.New(spoofFree, byteRef, u.EmptyBlocks(), 99)
 	cleaned, st := f.Clean(dirty)
@@ -145,4 +147,14 @@ func main() {
 		100*float64(kept)/float64(genuine.Len()), spoofedOut, spoofedIn)
 	fmt.Printf("/24 error vs genuine: unfiltered %+d, filtered %+d\n",
 		dirty.Slash24Len()-genuine.Slash24Len(), cleaned.Slash24Len()-genuine.Slash24Len())
+}
+
+// collect runs every source of the suite over window w and indexes the
+// observations by source.
+func collect(s *sources.Suite, w windows.Window, routed *trie.Trie) map[sources.Name]*ipset.Set {
+	obs := map[sources.Name]*ipset.Set{}
+	for _, o := range s.CollectAll(w, routed) {
+		obs[o.Name] = o.Addrs
+	}
+	return obs
 }

@@ -19,8 +19,6 @@ type Options struct {
 	// DropNetflow removes SWIN and CALT entirely (Figure 2's
 	// "No_SWINCALT" series).
 	DropNetflow bool
-	// SpoofScale forwards to sources.Suite (0 keeps the suite default 1).
-	SpoofScale float64
 }
 
 // DefaultOptions is the paper's main pipeline.
@@ -49,10 +47,10 @@ type Bundle struct {
 // Raw is the pre-assembly collection product of one window: the routed
 // table and every source's raw observations, before spoof filtering and
 // source dropping. Collection is by far the expensive half of Collect and
-// depends only on (window, SpoofScale) — not on SpoofFilter or
-// DropNetflow — so experiment variants that differ only in preprocessing
-// (Figure 2's spoofed/filtered/clean series) can collect once and
-// Assemble three bundles from the same Raw.
+// depends only on the window — not on SpoofFilter or DropNetflow — so
+// experiment variants that differ only in preprocessing (Figure 2's
+// spoofed/filtered/clean series) can collect once and Assemble three
+// bundles from the same Raw.
 type Raw struct {
 	Window      windows.Window
 	Routed      *trie.Trie
@@ -62,13 +60,7 @@ type Raw struct {
 }
 
 // CollectRaw gathers the raw per-source observations for one window.
-// spoofScale forwards to the suite (0 keeps the suite default).
-func CollectRaw(u *universe.Universe, suite *sources.Suite, w windows.Window, spoofScale float64) *Raw {
-	if spoofScale != 0 {
-		s := *suite
-		s.SpoofScale = spoofScale
-		suite = &s
-	}
+func CollectRaw(u *universe.Universe, suite *sources.Suite, w windows.Window) *Raw {
 	rt := bgp.Aggregate(u, w, suite.Seed^0xb6b6)
 	r := &Raw{
 		Window: w,
@@ -84,7 +76,7 @@ func CollectRaw(u *universe.Universe, suite *sources.Suite, w windows.Window, sp
 
 // Collect builds the bundle for one window.
 func Collect(u *universe.Universe, suite *sources.Suite, w windows.Window, opt Options) *Bundle {
-	return CollectRaw(u, suite, w, opt.SpoofScale).Assemble(u, suite, opt)
+	return CollectRaw(u, suite, w).Assemble(u, suite, opt)
 }
 
 // Assemble applies the preprocessing options to the raw collection and

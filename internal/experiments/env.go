@@ -36,7 +36,7 @@ type Env struct {
 	MaxOrder int
 
 	mu          sync.Mutex
-	raws        map[rawKey]*dataset.Raw
+	raws        map[int]*dataset.Raw
 	bundles     map[bundleKey]*dataset.Bundle
 	estimates   map[estKey][]WindowEstimate
 	stratCache  map[stratKey][]map[string]float64
@@ -48,11 +48,6 @@ type Env struct {
 type stratKey struct {
 	k   strata.Key
 	s24 bool
-}
-
-type rawKey struct {
-	win        int
-	spoofScale float64
 }
 
 type bundleKey struct {
@@ -83,7 +78,7 @@ func New(cfg universe.Config, seed uint64) *Env {
 		Divisor:     core.Adaptive1000,
 		MaxTerms:    8,
 		MaxOrder:    2,
-		raws:        make(map[rawKey]*dataset.Raw),
+		raws:        make(map[int]*dataset.Raw),
 		bundles:     make(map[bundleKey]*dataset.Bundle),
 		estimates:   make(map[estKey][]WindowEstimate),
 		stratCache:  make(map[stratKey][]map[string]float64),
@@ -103,22 +98,21 @@ func (e *Env) Estimator(limit float64) *core.Estimator {
 }
 
 // raw collects (or returns the cached) raw per-source observations for
-// window i. Raw collection depends only on (window, spoofScale), so bundle
-// variants that differ in preprocessing flags share it.
-func (e *Env) raw(i int, spoofScale float64) *dataset.Raw {
-	key := rawKey{i, spoofScale}
+// window i. Raw collection depends only on the window, so bundle variants
+// that differ in preprocessing flags share it.
+func (e *Env) raw(i int) *dataset.Raw {
 	e.mu.Lock()
-	r, ok := e.raws[key]
+	r, ok := e.raws[i]
 	e.mu.Unlock()
 	if ok {
 		return r
 	}
-	r = dataset.CollectRaw(e.U, e.Suite, e.Win[i], spoofScale)
+	r = dataset.CollectRaw(e.U, e.Suite, e.Win[i])
 	e.mu.Lock()
-	if prev, ok := e.raws[key]; ok {
+	if prev, ok := e.raws[i]; ok {
 		r = prev
 	} else {
-		e.raws[key] = r
+		e.raws[i] = r
 	}
 	e.mu.Unlock()
 	return r
@@ -133,7 +127,7 @@ func (e *Env) Bundle(i int, opt dataset.Options) *dataset.Bundle {
 	if ok {
 		return b
 	}
-	b = e.raw(i, opt.SpoofScale).Assemble(e.U, e.Suite, opt)
+	b = e.raw(i).Assemble(e.U, e.Suite, opt)
 	e.mu.Lock()
 	// Keep the first stored bundle: its lazy /24 projection may already be
 	// shared with other callers.

@@ -7,4 +7,6 @@
 // splitmix64), the sampler methods on RNG, and RNG.Split, which derives an
 // independent per-goroutine or per-replicate stream — the bootstrap's
 // determinism under any worker count rests on splitting streams up front.
+// Hash01 is the stateless keyed draw the synthetic universe and its
+// sources build every per-address decision from.
 package rng

@@ -26,6 +26,20 @@ func New(seed uint64) *RNG {
 	return r
 }
 
+// Hash01 returns a uniform [0, 1) value that is a pure function of (key,
+// x): x is spread by a multiply, xored into key, and mixed by the
+// splitmix64 finaliser. Keyed draws that must agree wherever they are
+// evaluated (one per address, per /24 or per source) use it instead of a
+// stream.
+func Hash01(key, x uint64) float64 {
+	z := key ^ (x * 0xbf58476d1ce4e5b9)
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
+}
+
 // Split returns a new independent generator derived from r's stream,
 // advancing r. Use it to give each simulated source its own stream so that
 // adding a source does not perturb the others.

@@ -180,3 +180,24 @@ func BenchmarkPoissonSmall(b *testing.B) {
 		r.Poisson(4)
 	}
 }
+
+func TestHash01(t *testing.T) {
+	if Hash01(7, 9) != Hash01(7, 9) {
+		t.Fatal("Hash01 must be a pure function of (key, x)")
+	}
+	const n = 100000
+	sum := 0.0
+	for x := uint64(0); x < n; x++ {
+		v := Hash01(0x5eed, x)
+		if v < 0 || v >= 1 {
+			t.Fatalf("Hash01 = %v outside [0, 1)", v)
+		}
+		sum += v
+	}
+	if mean := sum / n; math.Abs(mean-0.5) > 0.005 {
+		t.Fatalf("mean %v, want ≈0.5", mean)
+	}
+	if Hash01(1, 9) == Hash01(2, 9) || Hash01(1, 9) == Hash01(1, 10) {
+		t.Fatal("different keys or inputs should give different draws")
+	}
+}

@@ -7,8 +7,11 @@
 // apparent dependence is exactly what the log-linear CR models must
 // overcome.
 //
-// The main entry points are NewSuite over a universe, Suite.Collect /
-// Suite.CollectAll (one Observation per source and window, in the
-// canonical Names order), and Suite.GameChurn, the §4.6 session-level
-// churn measurement behind the `ghosts -exp churn` experiment.
+// The main entry points are NewSuite over a universe, Suite.CollectAll
+// (one Observation per source for a window, in the canonical All order),
+// and Suite.GameChurn, the §4.6 session-level churn measurement behind the
+// `ghosts -exp churn` experiment. Every capture decision compares a keyed
+// hash of (seed, source, window, address) with one function, captureProb,
+// so the expected observation of a window is computable from the same
+// rule the sampler draws with.
 package sources

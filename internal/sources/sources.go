@@ -39,8 +39,8 @@ type spec struct {
 	rate, clientBias float64
 	// available bounds collection (Table 2 "Time collected").
 	from, to time.Time
-	// census marks active probing sources.
-	census bool
+	// probe is how an active census sweeps the space; passive for logs.
+	probe probeKind
 	// gaps lists collection outages (the paper mentions "a gap in the
 	// GAME data collection" that depressed early observed counts, §6.3).
 	gaps []windows.Window
@@ -58,6 +58,15 @@ type spec struct {
 	spoofPer8 float64
 }
 
+// probeKind is how a source meets addresses.
+type probeKind int
+
+const (
+	passive  probeKind = iota // a log of hosts seen in traffic
+	icmpEcho                  // ICMP echo requests (IPING)
+	tcp80SYN                  // TCP SYNs to port 80 (TPING)
+)
+
 func date(y, m int) time.Time { return time.Date(y, time.Month(m), 1, 0, 0, 0, 0, time.UTC) }
 
 var specs = map[Name]spec{
@@ -69,8 +78,8 @@ var specs = map[Name]spec{
 		gaps: []windows.Window{{Start: date(2012, 7), End: date(2012, 11)}}},
 	SWIN:  {rate: 1.87, clientBias: 0.72, vis: 0.60, from: date(2011, 1), to: date(2014, 7), netflow: true, spoofPer8: 6000},
 	CALT:  {rate: 1.55, clientBias: 0.65, vis: 0.68, from: date(2013, 6), to: date(2014, 7), netflow: true, spoofPer8: 9000},
-	IPING: {census: true, from: date(2011, 3), to: date(2014, 7)},
-	TPING: {census: true, from: date(2012, 3), to: date(2014, 7)},
+	IPING: {probe: icmpEcho, from: date(2011, 3), to: date(2014, 7)},
+	TPING: {probe: tcp80SYN, from: date(2012, 3), to: date(2014, 7)},
 }
 
 // Observation is one source's view of one window.
@@ -127,160 +136,107 @@ func availFraction(sp spec, w windows.Window) float64 {
 	return active / w.End.Sub(w.Start).Hours()
 }
 
-// Collect produces the observation of source n over window w. Routed is
-// the aggregated routed table for the window, used to filter passive
-// observations (§4.4); pass nil to skip filtering.
-//
-// Per-address sampling decisions are keyed hashes of (seed, source,
-// window, address), so Collect(n) and CollectAll produce identical sets.
-func (s *Suite) Collect(n Name, w windows.Window, routed *trie.Trie) Observation {
-	sp, ok := specs[n]
-	if !ok {
-		return Observation{Name: n, Addrs: ipset.New()}
-	}
-	frac := availFraction(sp, w)
-	out := ipset.New()
-	if frac == 0 {
-		return Observation{Name: n, Addrs: out}
-	}
-	key := s.Seed ^ hashName(n) ^ uint64(w.End.Unix())
-	s.U.RangeUsed(w.End, func(a ipv4.Addr, _ float64) bool {
-		af := s.U.ActiveFraction(a, w.Start, w.End)
-		if hash01(key, uint64(a)) < s.seenProb(n, sp, a, frac, af) {
-			out.Add(a)
-		}
-		return true
-	})
-	if sp.netflow {
-		r := rng.New(key)
-		s.injectSpoofed(sp, w, frac, r, out)
-	}
-	s.filterRouted(out, routed)
-	return Observation{Name: n, Addrs: out}
-}
-
-// CollectAll runs every source over the window in a single pass over the
-// ground-truth population; the per-source sets are bit-identical to what
-// nine separate Collect calls would produce. It rides the universe's trait
-// enumerator: the per-address primitives (activation, class, activity,
-// probe responses) are hashed once and shared by all nine sources, the
-// window-active fraction comes straight from the enumerated activation
-// year, and each source's per-/24 visibility gate is evaluated once per
-// /24 instead of once per address. Every sampling decision is the same
-// keyed hash of (seed, source, window, address) Collect draws, so the
-// output sets are identical bit for bit.
+// CollectAll runs every source over the window in one pass over the
+// ground-truth population and returns one Observation per source, in All
+// order. Routed is the aggregated routed table for the window, used to
+// filter the observations (§4.4); pass nil to skip filtering. It rides the
+// universe's trait enumerator: the per-address draws (activation, class,
+// activity, probe responses) are made once and shared by all nine
+// sources, and each source's visibility gate is drawn once per /24. A
+// source logs an address when a keyed hash of (seed, source, window,
+// address) falls below captureProb.
 func (s *Suite) CollectAll(w windows.Window, routed *trie.Trie) []Observation {
 	names := All()
-	type srcState struct {
-		sp     spec
-		frac   float64
-		key    uint64
-		visKey uint64  // per-(source,/24) visibility gate stream
-		vis    float64 // gate threshold (spec.vis, 0 meaning 1)
-		vis24  bool    // gate value for the /24 currently enumerated
-		out    *ipset.Set
-	}
-	states := make([]srcState, len(names))
+	srcs := make([]source, len(names))
 	for i, n := range names {
 		sp := specs[n]
-		vis := sp.vis
-		if vis <= 0 {
-			vis = 1
-		}
-		states[i] = srcState{
-			sp:     sp,
+		srcs[i] = source{
+			name:   n,
+			sp:     &sp,
 			frac:   availFraction(sp, w),
 			key:    s.Seed ^ hashName(n) ^ uint64(w.End.Unix()),
 			visKey: s.Seed ^ hashName(n) ^ 0x24a7,
-			vis:    vis,
 			out:    ipset.New(),
 		}
 	}
 	ys, ye := universe.YearOf(w.Start), universe.YearOf(w.End)
 	cur24 := ^uint32(0)
 	s.U.RangeUsedTraits(w.End, func(a ipv4.Addr, tr *universe.AddrTraits) bool {
-		// Active fraction from the enumerated activation year — the same
-		// branches as Universe.ActiveFraction, without re-deriving the year.
-		var af float64
-		switch {
-		case tr.Activation >= ye:
-			af = 0
-		case tr.Activation <= ys:
-			af = 1
-		default:
-			af = (ye - tr.Activation) / (ye - ys)
-		}
 		if k := a.Slash24Index(); k != cur24 {
 			cur24 = k
-			for i := range states {
-				st := &states[i]
-				if !st.sp.census && st.frac > 0 {
-					st.vis24 = hash01(st.visKey, uint64(k)) < st.vis
-				}
+			for i := range srcs {
+				srcs[i].sees24 = srcs[i].frac > 0 && srcs[i].visible24(k)
 			}
 		}
-		for i := range states {
-			st := &states[i]
-			if st.frac == 0 {
-				continue
-			}
-			var p float64
-			if st.sp.census {
-				var responds bool
-				if names[i] == IPING {
-					responds = tr.RespICMP || tr.RespUnreach
-				} else {
-					responds = !tr.FwRSTBlock &&
-						(tr.RespTCP80 || (!tr.RespICMP && tr.RespUnreach))
-				}
-				if responds {
-					p = st.frac * (0.25 + 0.75*af) * (1 - s.Loss)
-				}
-			} else if st.vis24 {
-				p = tr.ObservableBy(st.sp.rate*st.frac, st.sp.clientBias, af)
-			}
-			if p > 0 && hash01(st.key, uint64(a)) < p {
-				st.out.Add(a)
+		af := universe.ActiveFractionYears(tr.Activation, ys, ye)
+		for i := range srcs {
+			src := &srcs[i]
+			if p := s.captureProb(src, tr, af); p > 0 && rng.Hash01(src.key, uint64(a)) < p {
+				src.out.Add(a)
 			}
 		}
 		return true
 	})
-	obs := make([]Observation, len(names))
-	for i, n := range names {
-		st := &states[i]
-		if st.sp.netflow && st.frac > 0 {
-			r := rng.New(st.key)
-			s.injectSpoofed(st.sp, w, st.frac, r, st.out)
+	obs := make([]Observation, len(srcs))
+	for i := range srcs {
+		src := &srcs[i]
+		if src.sp.netflow && src.frac > 0 {
+			s.injectSpoofed(*src.sp, w, src.frac, rng.New(src.key), src.out)
 		}
-		s.filterRouted(st.out, routed)
-		obs[i] = Observation{Name: n, Addrs: st.out}
+		s.filterRouted(src.out, routed)
+		obs[i] = Observation{Name: src.name, Addrs: src.out}
 	}
 	return obs
 }
 
-// seenProb is the probability that source n logs address a during a window
-// where a was active for fraction af, with availability fraction frac.
-func (s *Suite) seenProb(n Name, sp spec, a ipv4.Addr, frac, af float64) float64 {
-	u := s.U
-	if !sp.census {
-		// Per-(source, /24) visibility gate: routing locality and service
-		// mix make whole subnets invisible to individual vantage points
-		// (Table 2's very different per-source /24 coverage).
-		vis := sp.vis
-		if vis <= 0 {
-			vis = 1
-		}
-		if hash01(s.Seed^hashName(n)^0x24a7, uint64(a.Slash24Index())) >= vis {
-			return 0
-		}
-		return u.ObservableBy(a, sp.rate*frac, sp.clientBias, af)
+// source is one source's sampling state over a window.
+type source struct {
+	name   Name
+	sp     *spec
+	frac   float64 // availFraction of the window
+	key    uint64  // keyed-hash stream of the per-address draws
+	visKey uint64  // keyed-hash stream of the per-/24 visibility gate
+	// sees24 reports whether the source can log anything in the /24
+	// being walked: it collects during the window (frac > 0) and the /24
+	// passes visible24.
+	sees24 bool
+	out    *ipset.Set
+}
+
+// visible24 is the per-(source, /24) visibility gate: routing locality and
+// service mix make whole subnets invisible to individual vantage points
+// (Table 2's very different per-source /24 coverage). Censuses (spec.vis
+// 0, meaning 1) see every /24.
+func (src *source) visible24(key24 uint32) bool {
+	vis := src.sp.vis
+	if vis <= 0 {
+		vis = 1
 	}
+	return rng.Hash01(src.visKey, uint64(key24)) < vis
+}
+
+// captureProb is the probability that src logs an address with traits tr
+// that was active for fraction af of the window: zero behind the /24 gate
+// (sees24), visibleProb otherwise. It stays small enough to inline, so the
+// gated-off sources of a /24 cost no call.
+func (s *Suite) captureProb(src *source, tr *universe.AddrTraits, af float64) float64 {
+	if !src.sees24 {
+		return 0
+	}
+	return s.visibleProb(src, tr, af)
+}
+
+// visibleProb is captureProb in a /24 the source sees. A passive source
+// logs by ObservableBy; a census logs responders to its probe.
+func (s *Suite) visibleProb(src *source, tr *universe.AddrTraits, af float64) float64 {
 	var responds bool
-	if n == IPING {
-		responds = u.RespondsICMP(a) || u.RespondsUnreachable(a)
-	} else {
-		responds = !u.FirewallRSTBlock(a) &&
-			(u.RespondsTCP80(a) || (!u.RespondsICMP(a) && u.RespondsUnreachable(a)))
+	switch src.sp.probe {
+	case passive:
+		return tr.ObservableBy(src.sp.rate*src.frac, src.sp.clientBias, af)
+	case icmpEcho:
+		responds = tr.RespICMP || tr.RespUnreach
+	case tcp80SYN:
+		responds = !tr.FwRSTBlock && (tr.RespTCP80 || (!tr.RespICMP && tr.RespUnreach))
 	}
 	if !responds {
 		return 0
@@ -288,7 +244,7 @@ func (s *Suite) seenProb(n Name, sp spec, a ipv4.Addr, frac, af float64) float64
 	// The census only sees hosts active when their /24 was swept;
 	// censuses run twice a year, so a host activating late in the window
 	// may be missed. Loss adds a little noise on top.
-	return frac * (0.25 + 0.75*af) * (1 - s.Loss)
+	return src.frac * (0.25 + 0.75*af) * (1 - s.Loss)
 }
 
 // filterRouted drops observations outside the aggregated routed space
@@ -307,16 +263,6 @@ func (s *Suite) filterRouted(out *ipset.Set, routed *trie.Trie) {
 	for _, a := range drop {
 		out.Remove(a)
 	}
-}
-
-// hash01 returns a uniform [0,1) keyed hash (splitmix64).
-func hash01(key, x uint64) float64 {
-	z := key ^ (x * 0xbf58476d1ce4e5b9)
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
 }
 
 // injectSpoofed adds uniformly distributed spoofed source addresses to a

@@ -6,10 +6,67 @@ import (
 	"ghosts/internal/bgp"
 	"ghosts/internal/ipset"
 	"ghosts/internal/ipv4"
+	"ghosts/internal/rng"
 	"ghosts/internal/trie"
 	"ghosts/internal/universe"
 	"ghosts/internal/windows"
 )
+
+// Collect is the per-source reference for CollectAll: it produces the
+// observation of source n over window w from the universe's point
+// accessors, one address at a time, with its own copy of the capture rule
+// (seenProb). CollectAll must match it bit for bit.
+func (s *Suite) Collect(n Name, w windows.Window, routed *trie.Trie) Observation {
+	sp, ok := specs[n]
+	if !ok {
+		return Observation{Name: n, Addrs: ipset.New()}
+	}
+	frac := availFraction(sp, w)
+	out := ipset.New()
+	if frac == 0 {
+		return Observation{Name: n, Addrs: out}
+	}
+	key := s.Seed ^ hashName(n) ^ uint64(w.End.Unix())
+	s.U.RangeUsed(w.End, func(a ipv4.Addr, _ float64) bool {
+		af := s.U.ActiveFraction(a, w.Start, w.End)
+		if rng.Hash01(key, uint64(a)) < s.seenProb(n, sp, a, frac, af) {
+			out.Add(a)
+		}
+		return true
+	})
+	if sp.netflow {
+		s.injectSpoofed(sp, w, frac, rng.New(key), out)
+	}
+	s.filterRouted(out, routed)
+	return Observation{Name: n, Addrs: out}
+}
+
+// seenProb is the probability that source n logs address a during a window
+// where a was active for fraction af, with availability fraction frac.
+func (s *Suite) seenProb(n Name, sp spec, a ipv4.Addr, frac, af float64) float64 {
+	u := s.U
+	if sp.probe == passive {
+		vis := sp.vis
+		if vis <= 0 {
+			vis = 1
+		}
+		if rng.Hash01(s.Seed^hashName(n)^0x24a7, uint64(a.Slash24Index())) >= vis {
+			return 0
+		}
+		return u.ObservableBy(a, sp.rate*frac, sp.clientBias, af)
+	}
+	var responds bool
+	if n == IPING {
+		responds = u.RespondsICMP(a) || u.RespondsUnreachable(a)
+	} else {
+		responds = !u.FirewallRSTBlock(a) &&
+			(u.RespondsTCPPort(a, 80) || (!u.RespondsICMP(a) && u.RespondsUnreachable(a)))
+	}
+	if !responds {
+		return 0
+	}
+	return frac * (0.25 + 0.75*af) * (1 - s.Loss)
+}
 
 type fixture struct {
 	u     *universe.Universe
@@ -307,5 +364,23 @@ func TestCollectAllMatchesCollectAllSources(t *testing.T) {
 					n, rt != nil, single.Len(), b.Len())
 			}
 		}
+	}
+}
+
+var benchObs []Observation
+
+// BenchmarkCollectAll times one window's collection as the batch path
+// runs it: the tiny universe, the last paper window and the routed table
+// dataset.CollectRaw aggregates.
+func BenchmarkCollectAll(b *testing.B) {
+	u := universe.New(universe.TinyConfig(1))
+	ws := windows.Paper()
+	w := ws[len(ws)-1]
+	suite := NewSuite(u, 1)
+	rt := bgp.Aggregate(u, w, suite.Seed^0xb6b6)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchObs = suite.CollectAll(w, rt)
 	}
 }

@@ -73,17 +73,20 @@ func scene(t *testing.T) *scenario {
 	u := universe.New(universe.TinyConfig(6))
 	w := windows.Paper()[8] // ends Dec 2013
 	rt := bgp.Aggregate(u, w, 3)
-	suite := sources.NewSuite(u, 21)
-	dirty := suite.Collect(sources.SWIN, w, rt).Addrs
+	obs := map[sources.Name]*ipset.Set{}
+	for _, o := range sources.NewSuite(u, 21).CollectAll(w, rt) {
+		obs[o.Name] = o.Addrs
+	}
+	dirty := obs[sources.SWIN]
 	used := u.UsedAt(w.End)
 	genuine := ipset.Intersect(dirty, used)
 	spoofFree := ipset.New()
 	for _, n := range []sources.Name{sources.WIKI, sources.WEB, sources.MLAB, sources.GAME} {
-		spoofFree.AddSet(suite.Collect(n, w, rt).Addrs)
+		spoofFree.AddSet(obs[n])
 	}
 	byteRef := spoofFree.Clone()
 	for _, n := range []sources.Name{sources.SPAM, sources.IPING, sources.TPING} {
-		byteRef.AddSet(suite.Collect(n, w, rt).Addrs)
+		byteRef.AddSet(obs[n])
 	}
 	cached = &scenario{
 		u: u, dirty: dirty, genuine: genuine, spoofFree: spoofFree, byteRef: byteRef,

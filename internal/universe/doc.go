@@ -25,7 +25,11 @@
 // Everything is functional: whether an address is used at time t is a pure
 // function of (seed, address, t), so membership is O(1), enumeration never
 // materialises more state than the resulting sets, and all components see
-// exactly the same ground truth.
+// exactly the same ground truth. Each per-/24 and per-address draw is a
+// keyed hash (rng.Hash01) declared in one function; the point accessors
+// and the bulk enumerators (RangeUsed, UsedInPrefix, RangeUsedTraits)
+// call those functions, and the enumerators share one allocation → /24 →
+// address walk, so the two paths agree bit for bit.
 //
 // The main entry points are New over a Config (TinyConfig, SmallConfig and
 // MediumConfig are the standard scales), the membership and metadata

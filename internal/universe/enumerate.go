@@ -12,6 +12,69 @@ import (
 // neverYear marks "never activates".
 const neverYear = math.MaxFloat64
 
+// block is a /24 holding used addresses: its allocation's industry and
+// profile, the per-/24 draws that address activation reads, and its used
+// addresses in ascending order with their activation years.
+type block struct {
+	ind  registry.Industry
+	p    *profile
+	key  uint32  // Slash24Index
+	d24  float64 // slash24Density
+	dyn  bool    // dynamic24
+	n    int     // used addresses: addr[:n], activated in ta[:n]
+	addr [256]ipv4.Addr
+	ta   [256]float64
+}
+
+// walk is the one enumeration of the used space, allocation → /24 →
+// address, behind RangeUsed, UsedInPrefix, PeakUsedInPrefix and
+// RangeUsedTraits. It visits every /24 holding an address inside pfx used
+// at t, in ascending order, until fn returns false. Each address's
+// activation year is no earlier than its allocation was routed. b is
+// reused across calls and must not be retained.
+func (u *Universe) walk(pfx ipv4.Prefix, t time.Time, fn func(b *block) bool) {
+	yt := YearOf(t)
+	var b block
+	for i := range u.Reg.Allocs {
+		al := &u.Reg.Allocs[i]
+		p := &u.profiles[i]
+		if !al.Prefix.Overlaps(pfx) || !p.routed || p.routedAt > yt || p.util24 <= 0 {
+			continue
+		}
+		lo, hi := al.Prefix.First(), al.Prefix.Last()
+		if f := pfx.First(); f > lo {
+			lo = f
+		}
+		if l := pfx.Last(); l < hi {
+			hi = l
+		}
+		b.ind, b.p = al.Industry, p
+		for key := lo.Slash24Index(); key <= hi.Slash24Index(); key++ {
+			t24 := u.slash24ActivationYear(p, key)
+			if t24 > yt {
+				continue
+			}
+			b.key, b.d24, b.dyn, b.n = key, u.slash24Density(key), u.dynamic24(p, key), 0
+			base := ipv4.Addr(key << 8)
+			for o := 0; o < 256; o++ {
+				a := base + ipv4.Addr(o)
+				if a < lo || a > hi {
+					continue
+				}
+				ta := u.addrActivationWith(p, a, t24, b.d24, b.dyn)
+				if ta > yt {
+					continue
+				}
+				b.addr[b.n], b.ta[b.n] = a, max(ta, p.routedAt)
+				b.n++
+			}
+			if b.n > 0 && !fn(&b) {
+				return
+			}
+		}
+	}
+}
+
 // slash24ActivationYear returns the fractional year at which the /24
 // containing key starts being used under profile p, or neverYear.
 func (u *Universe) slash24ActivationYear(p *profile, key uint32) float64 {
@@ -36,6 +99,20 @@ func (u *Universe) slash24Density(key uint32) float64 {
 	return 0.10 + 1.55*h*h
 }
 
+// dynamic24 reports whether the /24 key is operated as a dynamically
+// assigned (DHCP/PPPoE) pool under profile p (§4.6).
+func (u *Universe) dynamic24(p *profile, key uint32) bool {
+	return u.hash01(h24Dynamic, uint64(key)) < p.dynFrac
+}
+
+// firewallDrop24 is the probe-filtering probability of the /24 key: the
+// profile's rate with per-/24 jitter, so some subnets are tightly
+// firewalled and some open.
+func (u *Universe) firewallDrop24(p *profile, key uint32) float64 {
+	j := u.hash01(hAllocJitter2, uint64(key)^0xabcd)
+	return clamp01(p.fwDrop * (0.6 + 0.8*j))
+}
+
 // addrActivationYear returns the fractional year at which address a becomes
 // used, combining the /24 and per-address activation processes; neverYear
 // if it never does. The caller must pass the allocation profile covering a.
@@ -45,14 +122,13 @@ func (u *Universe) addrActivationYear(p *profile, a ipv4.Addr) float64 {
 	if t24 == neverYear {
 		return neverYear
 	}
-	dyn := u.hash01(h24Dynamic, uint64(key24)) < p.dynFrac
-	return u.addrActivationWith(p, a, t24, u.slash24Density(key24), dyn)
+	return u.addrActivationWith(p, a, t24, u.slash24Density(key24), u.dynamic24(p, key24))
 }
 
 // addrActivationWith is addrActivationYear with the per-/24 quantities —
 // activation year t24, density d24, dynamic-pool membership dyn —
-// precomputed, so bulk enumerators pay for them once per /24 instead of
-// once per address.
+// precomputed, so the walk pays for them once per /24 instead of once per
+// address.
 func (u *Universe) addrActivationWith(p *profile, a ipv4.Addr, t24, d24 float64, dyn bool) float64 {
 	h := u.hash01(hAddrActivate, uint64(a))
 	// Dynamic pools cycle through essentially every address within months
@@ -114,19 +190,16 @@ func (u *Universe) IsUsedAt(a ipv4.Addr, t time.Time) bool {
 
 // UsedAt enumerates all used addresses at time t.
 func (u *Universe) UsedAt(t time.Time) *ipset.Set {
-	out := ipset.New()
-	u.RangeUsed(t, func(a ipv4.Addr, _ float64) bool {
-		out.Add(a)
-		return true
-	})
-	return out
+	return u.UsedInPrefix(ipv4.Prefix{}, t)
 }
 
 // UsedInPrefix enumerates the used addresses inside pfx at time t.
 func (u *Universe) UsedInPrefix(pfx ipv4.Prefix, t time.Time) *ipset.Set {
 	out := ipset.New()
-	u.rangeUsedIn(pfx, t, func(a ipv4.Addr, _ float64) bool {
-		out.Add(a)
+	u.walk(pfx, t, func(b *block) bool {
+		for _, a := range b.addr[:b.n] {
+			out.Add(a)
+		}
 		return true
 	})
 	return out
@@ -135,54 +208,14 @@ func (u *Universe) UsedInPrefix(pfx ipv4.Prefix, t time.Time) *ipset.Set {
 // RangeUsed visits every used address at time t in ascending order,
 // passing its activation year, until fn returns false.
 func (u *Universe) RangeUsed(t time.Time, fn func(a ipv4.Addr, activation float64) bool) {
-	u.rangeUsedIn(ipv4.Prefix{Base: 0, Bits: 0}, t, fn)
-}
-
-func (u *Universe) rangeUsedIn(pfx ipv4.Prefix, t time.Time, fn func(ipv4.Addr, float64) bool) {
-	yt := YearOf(t)
-	for i := range u.Reg.Allocs {
-		al := &u.Reg.Allocs[i]
-		if !al.Prefix.Overlaps(pfx) {
-			continue
-		}
-		p := &u.profiles[i]
-		if !p.routed || p.routedAt > yt || p.util24 <= 0 {
-			continue
-		}
-		// Intersect the allocation with pfx.
-		lo, hi := al.Prefix.First(), al.Prefix.Last()
-		if pfx.First() > lo {
-			lo = pfx.First()
-		}
-		if pfx.Last() < hi {
-			hi = pfx.Last()
-		}
-		for key := lo.Slash24Index(); key <= hi.Slash24Index(); key++ {
-			t24 := u.slash24ActivationYear(p, key)
-			if t24 > yt {
-				continue
-			}
-			d24 := u.slash24Density(key)
-			dyn := u.hash01(h24Dynamic, uint64(key)) < p.dynFrac
-			base := ipv4.Addr(key << 8)
-			for b := 0; b < 256; b++ {
-				a := base + ipv4.Addr(b)
-				if a < lo || a > hi {
-					continue
-				}
-				ta := u.addrActivationWith(p, a, t24, d24, dyn)
-				if ta > yt {
-					continue
-				}
-				if r := p.routedAt; ta < r {
-					ta = r
-				}
-				if !fn(a, ta) {
-					return
-				}
+	u.walk(ipv4.Prefix{}, t, func(b *block) bool {
+		for j, a := range b.addr[:b.n] {
+			if !fn(a, b.ta[j]) {
+				return false
 			}
 		}
-	}
+		return true
+	})
 }
 
 // ActiveFraction returns the fraction of window [start, end) during which
@@ -194,36 +227,38 @@ func (u *Universe) ActiveFraction(a ipv4.Addr, start, end time.Time) float64 {
 	if !ok {
 		return 0
 	}
-	ys, ye := YearOf(start), YearOf(end)
-	if y >= ye {
+	return ActiveFractionYears(y, YearOf(start), YearOf(end))
+}
+
+// ActiveFractionYears is ActiveFraction for an address activating in
+// fractional year activation and a window from year ys to year ye.
+func ActiveFractionYears(activation, ys, ye float64) float64 {
+	switch {
+	case activation >= ye:
 		return 0
-	}
-	if y <= ys {
+	case activation <= ys:
 		return 1
 	}
-	return (ye - y) / (ye - ys)
+	return (ye - activation) / (ye - ys)
 }
 
 // Class returns the device class of address a, shaped by the covering
 // allocation's industry and by positional conventions (.1 and .254 are
 // routers/gateways).
 func (u *Universe) Class(a ipv4.Addr) DeviceClass {
-	b := a.LastByte()
-	if b == 1 || b == 254 {
-		return Router
-	}
-	idx := u.Reg.LookupIndex(a)
 	ind := registry.ISP
-	if idx >= 0 {
+	if idx := u.Reg.LookupIndex(a); idx >= 0 {
 		ind = u.Reg.Allocs[idx].Industry
 	}
-	return u.classWith(a, &classMix[ind])
+	return u.classIn(a, ind)
 }
 
-// classWith is the positional-convention-free part of Class with the
-// industry mix row already resolved (bulk enumerators hold it per
-// allocation). The caller handles the .1/.254 Router convention.
-func (u *Universe) classWith(a ipv4.Addr, cum *[4]float64) DeviceClass {
+// classIn is Class for an address in an allocation of industry ind.
+func (u *Universe) classIn(a ipv4.Addr, ind registry.Industry) DeviceClass {
+	if b := a.LastByte(); b == 1 || b == 254 {
+		return Router
+	}
+	cum := &classMix[ind]
 	h := u.hash01(hAddrClass, uint64(a))
 	switch {
 	case h < cum[0]:
@@ -257,6 +292,12 @@ var classMix = [...][4]float64{
 // out servers, infrastructure, little outbound traffic), which is what
 // lets *every* passive source miss a used subnet at once.
 func (u *Universe) Activity(a ipv4.Addr) float64 {
+	return u.activity(a, u.slash24Density(a.Slash24Index()), u.Class(a))
+}
+
+// activity is Activity for an address of class cls in a /24 of density
+// d24.
+func (u *Universe) activity(a ipv4.Addr, d24 float64, cls DeviceClass) float64 {
 	h := u.hash01(hAddrActivity, uint64(a))
 	// Square the uniform draw for a right-skewed distribution; keep a
 	// floor so every used address is observable in principle (CR requires
@@ -264,9 +305,8 @@ func (u *Universe) Activity(a ipv4.Addr) float64 {
 	// The /24 factor reuses the subnet-density draw: sparse subnets are
 	// also quiet (few hosts, little traffic), so their addresses are hard
 	// for every passive vantage point at once.
-	d24 := u.slash24Density(a.Slash24Index()) / 1.65
-	act := h * h * (0.08 + 1.4*d24)
-	switch u.Class(a) {
+	act := h * h * (0.08 + 1.4*(d24/1.65))
+	switch cls {
 	case Server:
 		act = 0.3 + 0.7*act
 	case Router:
@@ -287,11 +327,7 @@ func (u *Universe) Activity(a ipv4.Addr) float64 {
 // pool /24 (§4.6).
 func (u *Universe) IsDynamic(a ipv4.Addr) bool {
 	idx := u.Reg.LookupIndex(a)
-	if idx < 0 {
-		return false
-	}
-	p := &u.profiles[idx]
-	return u.hash01(h24Dynamic, uint64(a.Slash24Index())) < p.dynFrac
+	return idx >= 0 && u.dynamic24(&u.profiles[idx], a.Slash24Index())
 }
 
 // FirewallDrop returns the probability that an active probe to a is
@@ -302,10 +338,7 @@ func (u *Universe) FirewallDrop(a ipv4.Addr) float64 {
 	if idx < 0 {
 		return 1
 	}
-	p := &u.profiles[idx]
-	// Per-/24 jitter: some subnets are tightly firewalled, some open.
-	j := u.hash01(hAllocJitter2, uint64(a.Slash24Index())^0xabcd)
-	return clamp01(p.fwDrop * (0.6 + 0.8*j))
+	return u.firewallDrop24(&u.profiles[idx], a.Slash24Index())
 }
 
 // SimultaneousPeak reports whether a counts toward the peak simultaneous

@@ -8,11 +8,11 @@ import (
 
 // AddrTraits bundles the per-address visibility primitives that every data
 // source consults when deciding whether it logs an address. Each field
-// equals the corresponding accessor exactly (Activation ↔ ActivationYear,
-// Class ↔ Class, …): the traits are the same keyed-hash draws, just
-// computed in one pass with the per-allocation and per-/24 inputs hoisted
-// out of the address loop, instead of re-derived from scratch — allocation
-// lookup included — once per accessor call per source.
+// comes from the same function as its point accessor (Activation ↔
+// ActivationYear, Class ↔ Class, RespICMP ↔ RespondsICMP, …): every draw is
+// declared once, and the enumerator only hoists the per-allocation and
+// per-/24 inputs out of the address loop instead of re-deriving them,
+// allocation lookup included, once per accessor call per source.
 type AddrTraits struct {
 	Activation   float64 // fractional year the address became used
 	Class        DeviceClass
@@ -34,86 +34,27 @@ func (tr *AddrTraits) ObservableBy(rate, clientBias, frac float64) float64 {
 // RangeUsedTraits visits every used address at time t in ascending order —
 // the same addresses, in the same order, as RangeUsed — passing its full
 // trait set. One AddrTraits value is reused across calls; callers must not
-// retain the pointer. This is the collection fast path: a suite of sources
-// observing the same window shares one trait computation per address
-// instead of hashing the allocation profile, /24 draws and device class
-// once per source per address.
+// retain or modify it. This is the collection fast path: a suite of
+// sources observing the same window shares one trait computation per
+// address, with the /24 draws made once per /24.
 func (u *Universe) RangeUsedTraits(t time.Time, fn func(a ipv4.Addr, tr *AddrTraits) bool) {
-	yt := YearOf(t)
 	var tr AddrTraits
-	for i := range u.Reg.Allocs {
-		al := &u.Reg.Allocs[i]
-		p := &u.profiles[i]
-		if !p.routed || p.routedAt > yt || p.util24 <= 0 {
-			continue
-		}
-		cum := &classMix[al.Industry]
-		sf := shieldFrac[al.Industry]
-		fwRSTFrac := 0.12 * p.fwDrop / 0.25
-		lo, hi := al.Prefix.First(), al.Prefix.Last()
-		for key := lo.Slash24Index(); key <= hi.Slash24Index(); key++ {
-			t24 := u.slash24ActivationYear(p, key)
-			if t24 > yt {
-				continue
-			}
-			d24 := u.slash24Density(key)
-			dyn := u.hash01(h24Dynamic, uint64(key)) < p.dynFrac
-			shielded := u.hash01(hShield24, uint64(key)) < sf
-			j := u.hash01(hAllocJitter2, uint64(key)^0xabcd)
-			fwDrop := clamp01(p.fwDrop * (0.6 + 0.8*j))
-			fwRST := u.hash01(hFwRST, uint64(key)) < fwRSTFrac
-			d24Act := d24 / 1.65
-			base := ipv4.Addr(key << 8)
-			for b := 0; b < 256; b++ {
-				a := base + ipv4.Addr(b)
-				if a < lo || a > hi {
-					continue
-				}
-				ta := u.addrActivationWith(p, a, t24, d24, dyn)
-				if ta > yt {
-					continue
-				}
-				if r := p.routedAt; ta < r {
-					ta = r
-				}
-				cls := Router
-				if b != 1 && b != 254 {
-					cls = u.classWith(a, cum)
-				}
-				// Activity: same draw and class shaping as the accessor.
-				h := u.hash01(hAddrActivity, uint64(a))
-				act := h * h * (0.08 + 1.4*d24Act)
-				switch cls {
-				case Server:
-					act = 0.3 + 0.7*act
-				case Router:
-					act = 0.1 + 0.5*act
-				case Specialised:
-					act *= 0.2
-				}
-				if act < 0.01 {
-					act = 0.01
-				}
-				if act > 1 {
-					act = 1
-				}
-				respICMP := !shielded && u.hash01(hRespICMP, uint64(a)) < icmpRespond[cls]*(1-fwDrop)
-				tr = AddrTraits{
-					Activation:   ta,
-					Class:        cls,
-					Activity:     act,
-					Dynamic:      dyn,
-					Shielded:     shielded,
-					FirewallDrop: fwDrop,
-					RespICMP:     respICMP,
-					RespTCP80:    !shielded && u.hash01(hRespTCP, uint64(a)) < tcp80Respond[cls]*(1-fwDrop),
-					RespUnreach:  !shielded && !respICMP && u.hash01(hProtoUnreach, uint64(a)) < 0.05,
-					FwRSTBlock:   fwRST,
-				}
-				if !fn(a, &tr) {
-					return
-				}
+	u.walk(ipv4.Prefix{}, t, func(b *block) bool {
+		tr.Dynamic = b.dyn
+		tr.Shielded = u.shielded24(b.ind, b.key)
+		tr.FirewallDrop = u.firewallDrop24(b.p, b.key)
+		tr.FwRSTBlock = u.rstBlock24(b.p, b.key)
+		for j, a := range b.addr[:b.n] {
+			tr.Activation = b.ta[j]
+			tr.Class = u.classIn(a, b.ind)
+			tr.Activity = u.activity(a, b.d24, tr.Class)
+			tr.RespICMP = u.respondsICMP(a, tr.Class, tr.Shielded, tr.FirewallDrop)
+			tr.RespTCP80 = u.respondsTCP(a, tr.Class, tr.Shielded, tr.FirewallDrop, 80)
+			tr.RespUnreach = u.respondsUnreachable(a, tr.Shielded, tr.RespICMP)
+			if !fn(a, &tr) {
+				return false
 			}
 		}
-	}
+		return true
+	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"ghosts/internal/ipv4"
 	"ghosts/internal/registry"
+	"ghosts/internal/rng"
 )
 
 // DeviceClass groups hosts by their measurement visibility (§4.2).
@@ -274,15 +275,9 @@ const (
 	hAddrSim
 )
 
-// hash01 returns a uniform [0,1) value keyed by (seed, tag, key),
-// via splitmix64.
+// hash01 returns a uniform [0,1) value keyed by (seed, tag, key).
 func (u *Universe) hash01(tag, key uint64) float64 {
-	z := u.seed ^ (tag * 0x9e3779b97f4a7c15) ^ (key * 0xbf58476d1ce4e5b9)
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	return rng.Hash01(u.seed^tag*0x9e3779b97f4a7c15, key)
 }
 
 // lastByteWeight models the non-uniform distribution of the final octet of

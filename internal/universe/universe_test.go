@@ -111,31 +111,53 @@ func TestActivationYearConsistent(t *testing.T) {
 	})
 }
 
+// TestUsedInPrefixSubset: the prefix-clipped walk must equal the global
+// enumeration restricted to the prefix, and the peak count must equal a
+// SimultaneousPeak count over that restriction, for a prefix inside one
+// /24, one inside an allocation, and one wider than its allocation.
 func TestUsedInPrefixSubset(t *testing.T) {
 	u := tiny(t)
 	at := date(2013, 12, 31)
 	all := u.UsedAt(at)
-	// Take the /16 of the first used address.
-	var pfx ipv4.Prefix
+	var first ipv4.Addr
 	all.Range(func(a ipv4.Addr) bool {
-		pfx = ipv4.NewPrefix(a, 16)
+		first = a
 		return false
 	})
-	sub := u.UsedInPrefix(pfx, at)
-	if sub.Len() == 0 {
-		t.Fatal("prefix of a used address must contain used addresses")
-	}
-	sub.Range(func(a ipv4.Addr) bool {
-		if !pfx.Contains(a) {
-			t.Fatalf("%v outside %v", a, pfx)
-		}
-		if !all.Contains(a) {
-			t.Fatalf("%v in prefix enumeration but not global", a)
-		}
-		return true
-	})
-	if got := all.CountInPrefix(pfx); got != sub.Len() {
-		t.Fatalf("prefix enumeration %d != global restriction %d", sub.Len(), got)
+	al := u.Reg.Allocs[u.Reg.LookupIndex(first)].Prefix
+	for _, tc := range []struct {
+		name string
+		pfx  ipv4.Prefix
+	}{
+		{"/26 in one /24", ipv4.NewPrefix(first, 26)},
+		{"/16", ipv4.NewPrefix(first, 16)},
+		{"wider than its allocation", ipv4.NewPrefix(al.Base, al.Bits-2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sub := u.UsedInPrefix(tc.pfx, at)
+			if sub.Len() == 0 {
+				t.Fatal("prefix of a used address must contain used addresses")
+			}
+			peak := 0
+			sub.Range(func(a ipv4.Addr) bool {
+				if !tc.pfx.Contains(a) {
+					t.Fatalf("%v outside %v", a, tc.pfx)
+				}
+				if !all.Contains(a) {
+					t.Fatalf("%v in prefix enumeration but not global", a)
+				}
+				if u.SimultaneousPeak(a) {
+					peak++
+				}
+				return true
+			})
+			if got := all.CountInPrefix(tc.pfx); got != sub.Len() {
+				t.Fatalf("prefix enumeration %d != global restriction %d", sub.Len(), got)
+			}
+			if got := u.PeakUsedInPrefix(tc.pfx, at); got != peak {
+				t.Fatalf("PeakUsedInPrefix %d != SimultaneousPeak count %d", got, peak)
+			}
+		})
 	}
 }
 

@@ -43,26 +43,27 @@ var portFactor = map[uint16][numClasses]float64{
 }
 
 // RespondsTCPPort reports whether a used address answers SYNs to the given
-// TCP port. Port 80 matches RespondsTCP80 exactly; unknown ports get a
-// small residual response rate.
+// TCP port; unknown ports get a small residual response rate.
 func (u *Universe) RespondsTCPPort(a ipv4.Addr, port uint16) bool {
-	if port == 80 {
-		return u.RespondsTCP80(a)
-	}
-	if u.Shielded24(a) {
+	return u.respondsTCP(a, u.Class(a), u.Shielded24(a), u.FirewallDrop(a), port)
+}
+
+// respondsTCP is RespondsTCPPort for an address of class cls in a /24
+// with the given shielding and firewall-drop probability. Port 80 draws
+// from hRespTCP itself, every other port from its own stream.
+func (u *Universe) respondsTCP(a ipv4.Addr, cls DeviceClass, shielded bool, fwDrop float64, port uint16) bool {
+	if shielded {
 		return false
 	}
-	cls := u.Class(a)
-	f, ok := portFactor[port]
-	factor := 0.02
-	if ok {
-		factor = f[cls]
+	tag, factor := hRespTCP, 1.0
+	if port != 80 {
+		tag ^= uint64(port) * 0x9e37
+		factor = 0.02
+		if f, ok := portFactor[port]; ok {
+			factor = f[cls]
+		}
 	}
-	p := tcp80Respond[cls] * factor * (1 - u.FirewallDrop(a))
-	if p > 1 {
-		p = 1
-	}
-	return u.hash01(hRespTCP^(uint64(port)*0x9e37), uint64(a)) < p
+	return u.hash01(tag, uint64(a)) < min(tcp80Respond[cls]*factor*(1-fwDrop), 1)
 }
 
 const (
@@ -90,11 +91,13 @@ var shieldFrac = [...]float64{
 // drop-everything firewall.
 func (u *Universe) Shielded24(a ipv4.Addr) bool {
 	idx := u.Reg.LookupIndex(a)
-	if idx < 0 {
-		return false
-	}
-	frac := shieldFrac[u.Reg.Allocs[idx].Industry]
-	return u.hash01(hShield24, uint64(a.Slash24Index())) < frac
+	return idx >= 0 && u.shielded24(u.Reg.Allocs[idx].Industry, a.Slash24Index())
+}
+
+// shielded24 is Shielded24 for the /24 key of an allocation of industry
+// ind.
+func (u *Universe) shielded24(ind registry.Industry, key uint32) bool {
+	return u.hash01(hShield24, uint64(key)) < shieldFrac[ind]
 }
 
 // RespondsICMP reports whether a used address a answers ICMP echo requests
@@ -102,31 +105,30 @@ func (u *Universe) Shielded24(a ipv4.Addr) bool {
 // the packet-level prober and the fast census path agree exactly. Shielded
 // subnets never answer.
 func (u *Universe) RespondsICMP(a ipv4.Addr) bool {
-	if u.Shielded24(a) {
-		return false
-	}
-	p := icmpRespond[u.Class(a)] * (1 - u.FirewallDrop(a))
-	return u.hash01(hRespICMP, uint64(a)) < p
+	return u.respondsICMP(a, u.Class(a), u.Shielded24(a), u.FirewallDrop(a))
+}
+
+// respondsICMP is RespondsICMP for an address of class cls in a /24 with
+// the given shielding and firewall-drop probability.
+func (u *Universe) respondsICMP(a ipv4.Addr, cls DeviceClass, shielded bool, fwDrop float64) bool {
+	return !shielded && u.hash01(hRespICMP, uint64(a)) < icmpRespond[cls]*(1-fwDrop)
 }
 
 // RespondsTCP80 reports whether a used address answers SYNs to port 80
 // with SYN/ACK.
-func (u *Universe) RespondsTCP80(a ipv4.Addr) bool {
-	if u.Shielded24(a) {
-		return false
-	}
-	p := tcp80Respond[u.Class(a)] * (1 - u.FirewallDrop(a))
-	return u.hash01(hRespTCP, uint64(a)) < p
-}
+func (u *Universe) RespondsTCP80(a ipv4.Addr) bool { return u.RespondsTCPPort(a, 80) }
 
 // RespondsUnreachable reports whether probing a used, non-ICMP-responding
 // address elicits a "destination protocol/port unreachable" instead of
 // silence; the paper counts these as evidence of use (§4.4).
 func (u *Universe) RespondsUnreachable(a ipv4.Addr) bool {
-	if u.Shielded24(a) || u.RespondsICMP(a) {
-		return false
-	}
-	return u.hash01(hProtoUnreach, uint64(a)) < 0.05
+	return u.respondsUnreachable(a, u.Shielded24(a), u.RespondsICMP(a))
+}
+
+// respondsUnreachable is RespondsUnreachable for an address whose /24 is
+// shielded or not and which answers ICMP echo (icmp) or not.
+func (u *Universe) respondsUnreachable(a ipv4.Addr, shielded, icmp bool) bool {
+	return !shielded && !icmp && u.hash01(hProtoUnreach, uint64(a)) < 0.05
 }
 
 // FirewallRSTBlock reports whether address a lies in a block whose border
@@ -136,12 +138,13 @@ func (u *Universe) RespondsUnreachable(a ipv4.Addr) bool {
 // prober must ignore RSTs.
 func (u *Universe) FirewallRSTBlock(a ipv4.Addr) bool {
 	idx := u.Reg.LookupIndex(a)
-	if idx < 0 {
-		return false
-	}
-	p := &u.profiles[idx]
-	// Tightly-firewalled industries RST-scan whole subnets.
-	return u.hash01(hFwRST, uint64(a.Slash24Index())) < 0.12*p.fwDrop/0.25
+	return idx >= 0 && u.rstBlock24(&u.profiles[idx], a.Slash24Index())
+}
+
+// rstBlock24 is FirewallRSTBlock for the /24 key under profile p:
+// tightly-firewalled industries RST-scan whole subnets.
+func (u *Universe) rstBlock24(p *profile, key uint32) bool {
+	return u.hash01(hFwRST, uint64(key)) < 0.12*p.fwDrop/0.25
 }
 
 // ObservableBy reports the probability that a passive source with client
@@ -160,8 +163,9 @@ func (u *Universe) ObservableBy(a ipv4.Addr, rate, clientBias, frac float64) flo
 	return observableWith(u.Activity(a), u.Class(a), u.IsDynamic(a), rate, clientBias, frac)
 }
 
-// observableWith is ObservableBy with the per-address primitives already in
-// hand — the shared core of the accessor above and AddrTraits.ObservableBy.
+// observableWith is ObservableBy with the per-address draws already in
+// hand — the one definition behind the accessor above and
+// AddrTraits.ObservableBy.
 func observableWith(act float64, cls DeviceClass, dyn bool, rate, clientBias, frac float64) float64 {
 	if frac <= 0 {
 		return 0
@@ -193,9 +197,11 @@ func observableWith(act float64, cls DeviceClass, dyn bool, rate, clientBias, fr
 // inside pfx at time t — the "high watermark" ground truth of Table 4.
 func (u *Universe) PeakUsedInPrefix(pfx ipv4.Prefix, t time.Time) int {
 	n := 0
-	u.rangeUsedIn(pfx, t, func(a ipv4.Addr, _ float64) bool {
-		if u.SimultaneousPeak(a) {
-			n++
+	u.walk(pfx, t, func(b *block) bool {
+		for _, a := range b.addr[:b.n] {
+			if u.SimultaneousPeak(a) {
+				n++
+			}
 		}
 		return true
 	})

@@ -75,15 +75,18 @@ def median: sort as $s | ($s | length) as $n
 echo "wrote $OUT"
 
 # Diff against the previous core snapshot (picked by name, see
-# bench_baseline in scripts/lib.sh). A benchmark is a regression when its
-# median ns/op is more than 15% above the baseline's and the shift is
+# bench_baseline in scripts/lib.sh). A benchmark is listed as a shift when
+# its median ns/op is more than 15% above the baseline's and the move is
 # larger than the baseline's min–max spread, so a move inside the noise the
-# baseline itself showed is not flagged. A baseline with a single run
+# baseline itself showed is not listed. A baseline with a single run
 # (every snapshot before spreads were recorded) has no spread and is
-# compared on medians alone. Informational by default (a regression needs a
-# justified review, not a hidden one); set GHOSTS_BENCH_STRICT=1 to make it
-# fatal. A baseline that shares no benchmark name compares nothing, and
-# says so instead of reporting "no regressions".
+# compared on medians alone. The two snapshots come from different
+# sessions, unpaired, so a shift may be the machine rather than the code
+# (a VM running 2x slower one day moves every benchmark alike); only
+# scripts/ab.sh, which alternates the two revisions in one session, gives
+# a verdict. Informational by default; set GHOSTS_BENCH_STRICT=1 to make
+# any shift fatal. A baseline that shares no benchmark name compares
+# nothing, and says so instead of reporting "no shifts".
 PREV="$(bench_baseline "$OUT")"
 if [ -n "$PREV" ]; then
     if ! jq -rn --slurpfile prev "$PREV" --slurpfile cur "$OUT" --arg prevfile "$PREV" '
@@ -97,9 +100,10 @@ if [ -n "$PREV" ]; then
         | if ($common | length) == 0 then
             "WARNING: no benchmark in common with \($prevfile); nothing compared"
           elif ($bad | length) == 0 then
-            "no ns/op regressions past 15% and the baseline spread vs \($prevfile)"
+            "no unpaired ns/op shifts past 15% and the baseline spread vs \($prevfile)"
           else
-            ($bad[] | "REGRESSION \(.name): \(.was | floor) -> \(.now | floor) ns/op (+\(((.now / .was - 1) * 1000 | round) / 10)%, baseline spread \(.spread | floor))"),
+            "unpaired shifts vs \($prevfile) (different sessions: machine drift moves every benchmark alike; run scripts/ab.sh for a paired verdict):",
+            ($bad[] | "SHIFT \(.name): \(.was | floor) -> \(.now | floor) ns/op (+\(((.now / .was - 1) * 1000 | round) / 10)%, baseline spread \(.spread | floor))"),
             ("" | halt_error(1))
           end'; then
         if [ -n "${GHOSTS_BENCH_STRICT:-}" ]; then
