@@ -395,11 +395,12 @@ func BenchmarkAblationLP(b *testing.B) {
 func BenchmarkCrossValidation(b *testing.B) {
 	e := env(b)
 	bundle := e.Bundle(9, dataset.DefaultOptions())
+	tb := e.Table(9, dataset.DefaultOptions(), false)
 	est := core.NewEstimator(core.BIC, core.Adaptive1000, math.Inf(1))
 	est.MaxTerms = 3
 	est.MaxOrder = 2
 	for i := 0; i < b.N; i++ {
-		res, err := crossval.Run(context.Background(), bundle.Names, bundle.Sets, est, false)
+		res, err := crossval.Run(context.Background(), bundle.Names, tb, est, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func main() {
 	// A passive log for the third capture source.
 	suite := sources.NewSuite(u, 123)
 	var web *ipset.Set
-	for _, o := range suite.CollectAll(w, nil) {
+	for _, o := range suite.CollectAll([]windows.Window{w}, nil)[0] {
 		if o.Name == sources.WEB {
 			web = o.Addrs
 		}

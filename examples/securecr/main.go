@@ -26,6 +26,7 @@ import (
 	"ghosts/internal/ipset"
 	"ghosts/internal/mpcr"
 	"ghosts/internal/sources"
+	"ghosts/internal/trie"
 	"ghosts/internal/universe"
 	"ghosts/internal/windows"
 )
@@ -38,7 +39,7 @@ func main() {
 	suite := sources.NewSuite(u, 77)
 
 	collected := map[sources.Name]*ipset.Set{}
-	for _, o := range suite.CollectAll(w, rt) {
+	for _, o := range suite.CollectAll([]windows.Window{w}, []*trie.Trie{rt})[0] {
 		collected[o.Name] = o.Addrs
 	}
 	operators := []sources.Name{sources.IPING, sources.WEB, sources.GAME}

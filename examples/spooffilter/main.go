@@ -153,7 +153,7 @@ func main() {
 // observations by source.
 func collect(s *sources.Suite, w windows.Window, routed *trie.Trie) map[sources.Name]*ipset.Set {
 	obs := map[sources.Name]*ipset.Set{}
-	for _, o := range s.CollectAll(w, routed) {
+	for _, o := range s.CollectAll([]windows.Window{w}, []*trie.Trie{routed})[0] {
 		obs[o.Name] = o.Addrs
 	}
 	return obs

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"ghosts/internal/core"
-	"ghosts/internal/ipset"
 	"ghosts/internal/parallel"
 	"ghosts/internal/sources"
 	"ghosts/internal/telemetry"
@@ -28,16 +27,21 @@ type SourceResult struct {
 // Error returns the estimation error Est − Truth.
 func (r SourceResult) Error() float64 { return r.Est - float64(r.Truth) }
 
-// Run performs the leave-one-out cross-validation over the named sets.
-// withCI additionally computes profile intervals (Figure 3); it is the
-// expensive part, so Table 3's sweeps leave it off. The per-source runs
-// are independent, so they fan out over the parallel worker pool; results
-// are collected in source order, identical to a serial run. ctx is checked
-// between held-out sources (and inside each source's model search and
-// interval computation), and the call returns nil results plus ctx.Err()
-// once the context is done.
-func Run(ctx context.Context, names []sources.Name, sets []*ipset.Set, est *core.Estimator, withCI bool) ([]SourceResult, error) {
-	k := len(sets)
+// Run performs the leave-one-out cross-validation over one window's joint
+// capture table: tb is the contingency table of the sources names (in the
+// same order, so tb.T == len(names)), as core.TableFromSets builds it from
+// their sets. Every held-out source's table, ping overlap and truth is a
+// fold over tb (see foldTable), so callers that already hold the window's
+// table pay for no set pass at all; Run only reads tb. withCI additionally
+// computes profile intervals (Figure 3); it is the expensive part, so
+// Table 3's sweeps leave it off. The per-source runs are independent, so
+// they fan out over the parallel worker pool; results are collected in
+// source order, identical to a serial run. ctx is checked between
+// held-out sources (and inside each source's model search and interval
+// computation), and the call returns nil results plus ctx.Err() once the
+// context is done.
+func Run(ctx context.Context, names []sources.Name, tb *core.Table, est *core.Estimator, withCI bool) ([]SourceResult, error) {
+	k := tb.T
 	sp := telemetry.Active().StartSpan("crossval.run")
 	defer sp.End(int64(k))
 	pingIdx := -1
@@ -46,50 +50,33 @@ func Run(ctx context.Context, names []sources.Name, sets []*ipset.Set, est *core
 			pingIdx = i
 		}
 	}
-	// One joint capture histogram over all k sets replaces the per-held-out
-	// Intersect + rescan: every per-source table, ping overlap and truth is
-	// a fold over it (see foldTable). One pass over the address bitmaps
-	// instead of k passes of k−1 intersections each.
-	var joint []int64
-	if k >= 2 && k <= 16 {
-		joint = ipset.CaptureHistogram(sets)
-	}
+	joint := tb.Counts
 	results := make([]SourceResult, k)
 	done := make([]bool, k)
 	err := parallel.ForEachCtx(ctx, k, func(i int) {
-		uni := sets[i]
-		if uni.Len() == 0 {
+		truth := tb.SourceTotal(i)
+		if truth == 0 {
 			return
 		}
-		var tb *core.Table
-		res := SourceResult{Name: names[i], Truth: int64(uni.Len())}
-		if joint != nil {
-			tb = foldTable(joint, k, i)
-			if pingIdx >= 0 && pingIdx != i {
-				res.ObsPing = foldOverlap(joint, 1<<uint(i)|1<<uint(pingIdx))
-			}
-		} else {
-			// k outside CaptureHistogram's range: build each held-out table
-			// by materialised intersection, as the fold's reference shape.
-			restricted := make([]*ipset.Set, 0, k-1)
-			for j := 0; j < k; j++ {
-				if j != i {
-					restricted = append(restricted, ipset.Intersect(sets[j], uni))
-				}
-			}
-			tb = core.TableFromSets(restricted, nil)
-			if pingIdx >= 0 && pingIdx != i {
-				res.ObsPing = int64(ipset.IntersectCount(sets[pingIdx], uni))
-			}
+		res := SourceResult{Name: names[i], Truth: truth}
+		if k == 1 {
+			// No co-source saw anything: the estimate is the observed
+			// count, zero.
+			results[i], done[i] = res, true
+			return
 		}
-		res.ObsAll = tb.Observed()
+		held := foldTable(joint, k, i)
+		if pingIdx >= 0 && pingIdx != i {
+			res.ObsPing = foldOverlap(joint, 1<<uint(i)|1<<uint(pingIdx))
+		}
+		res.ObsAll = held.Observed()
 		// The universe size itself bounds the population: the estimator's
 		// truncation limit is min(global limit, |universe|).
 		sub := *est
-		if sub.Limit <= 0 || sub.Limit > float64(uni.Len()) {
-			sub.Limit = float64(uni.Len())
+		if sub.Limit <= 0 || sub.Limit > float64(truth) {
+			sub.Limit = float64(truth)
 		}
-		r, err := sub.Run(ctx, tb, core.RunOptions{Interval: withCI})
+		r, err := sub.Run(ctx, held, core.RunOptions{Interval: withCI})
 		if err != nil {
 			if ctx.Err() != nil {
 				// Canceled mid-estimate: the whole run fails below;

@@ -20,10 +20,11 @@ import (
 
 var cachedBundle *dataset.Bundle
 
-// mustRun is Run under a context that never cancels.
+// mustRun is Run on the joint table of sets under a context that never
+// cancels.
 func mustRun(t *testing.T, names []sources.Name, sets []*ipset.Set, est *core.Estimator, withCI bool) []SourceResult {
 	t.Helper()
-	out, err := Run(context.Background(), names, sets, est, withCI)
+	out, err := Run(context.Background(), names, core.TableFromSets(sets, nil), est, withCI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,8 @@ func bundle(t *testing.T) *dataset.Bundle {
 	if cachedBundle == nil {
 		u := universe.New(universe.TinyConfig(44))
 		suite := sources.NewSuite(u, 7)
-		cachedBundle = dataset.Collect(u, suite, windows.Paper()[9], dataset.DefaultOptions())
+		raw := dataset.CollectRaw(u, suite, []windows.Window{windows.Paper()[9]})[0]
+		cachedBundle = raw.Assemble(u, suite, dataset.DefaultOptions())
 	}
 	return cachedBundle
 }
@@ -162,12 +164,31 @@ func TestRunCanceled(t *testing.T) {
 	est.MaxOrder = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := Run(ctx, b.Names, b.Sets, est, false)
+	results, err := Run(ctx, b.Names, core.TableFromSets(b.Sets, nil), est, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if results != nil {
 		t.Fatalf("canceled sweep returned %d results, want none", len(results))
+	}
+}
+
+// TestRunOneSource pins the result with no co-source: the one source is
+// its own universe, nobody else observed any of it, so the estimate falls
+// back to the observed count, zero, with and without intervals.
+func TestRunOneSource(t *testing.T) {
+	sets := randomOverlapSets(3, 1, 500)
+	names := []sources.Name{sources.WEB}
+	est := core.NewEstimator(core.BIC, core.Adaptive1000, math.Inf(1))
+	for _, withCI := range []bool{false, true} {
+		got := mustRun(t, names, sets, est, withCI)
+		want := []SourceResult{{Name: sources.WEB, Truth: int64(sets[0].Len())}}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("withCI=%v: got %+v, want %+v", withCI, got, want)
+		}
+		if legacy, ok := legacySourceRun(names, sets, est, 0, -1); !ok || !reflect.DeepEqual(legacy, want[0]) {
+			t.Fatalf("set-based construction gives %+v, want %+v", legacy, want[0])
+		}
 	}
 }
 
@@ -273,8 +294,9 @@ func TestFoldTableMatchesSetConstruction(t *testing.T) {
 }
 
 // TestRunMatchesSetBasedConstruction pins the full cross-validation output
-// — every SourceResult field — to the set-based construction, on both the
-// simulated dataset bundle and synthetic random-overlap sets.
+// — every SourceResult field — of the table entry point to the set-based
+// construction, on both the simulated dataset bundle and synthetic
+// random-overlap sets.
 func TestRunMatchesSetBasedConstruction(t *testing.T) {
 	est := core.NewEstimator(core.BIC, core.Adaptive1000, math.Inf(1))
 	est.MaxTerms = 3

@@ -7,6 +7,10 @@
 // the per-source panels of Figure 3.
 //
 // The main entry points are Run, which performs the leave-one-source-out
-// sweep and returns one SourceResult per source, and Errors, which
-// aggregates the results into the RMSE/MAE pair Table 3 reports.
+// sweep over one window's joint capture table (core.TableFromSets of the
+// sources' sets) and returns one SourceResult per source, and Errors,
+// which aggregates the results into the RMSE/MAE pair Table 3 reports.
+// Every held-out table is a fold of the joint table, so a caller that
+// holds the window's table (experiments.Env caches one per window) runs
+// the sweep without another pass over the sets.
 package crossval

@@ -46,11 +46,11 @@ type Bundle struct {
 
 // Raw is the pre-assembly collection product of one window: the routed
 // table and every source's raw observations, before spoof filtering and
-// source dropping. Collection is by far the expensive half of Collect and
-// depends only on the window — not on SpoofFilter or DropNetflow — so
-// experiment variants that differ only in preprocessing (Figure 2's
-// spoofed/filtered/clean series) can collect once and Assemble three
-// bundles from the same Raw.
+// source dropping. Collection is by far the expensive half of building a
+// bundle and depends only on the window — not on SpoofFilter or
+// DropNetflow — so experiment variants that differ only in preprocessing
+// (Figure 2's spoofed/filtered/clean series) can collect once and
+// Assemble three bundles from the same Raw.
 type Raw struct {
 	Window      windows.Window
 	Routed      *trie.Trie
@@ -59,24 +59,24 @@ type Raw struct {
 	Obs         map[sources.Name]*ipset.Set
 }
 
-// CollectRaw gathers the raw per-source observations for one window.
-func CollectRaw(u *universe.Universe, suite *sources.Suite, w windows.Window) *Raw {
-	rt := bgp.Aggregate(u, w, suite.Seed^0xb6b6)
-	r := &Raw{
-		Window: w,
-		Routed: rt,
-		Obs:    make(map[sources.Name]*ipset.Set, 9),
+// CollectRaw gathers the raw per-source observations of every window in
+// ws, in ws order, with one walk of the universe for all of them (see
+// sources.Suite.CollectAll). Each window's sets are the same whatever
+// windows are collected with it.
+func CollectRaw(u *universe.Universe, suite *sources.Suite, ws []windows.Window) []*Raw {
+	raws := make([]*Raw, len(ws))
+	rts := make([]*trie.Trie, len(ws))
+	for i, w := range ws {
+		rts[i] = bgp.Aggregate(u, w, suite.Seed^0xb6b6)
+		raws[i] = &Raw{Window: w, Routed: rts[i], Obs: make(map[sources.Name]*ipset.Set, 9)}
+		raws[i].RoutedAddrs, raws[i].Routed24 = bgp.RoutedCounts(u, w)
 	}
-	r.RoutedAddrs, r.Routed24 = bgp.RoutedCounts(u, w)
-	for _, o := range suite.CollectAll(w, rt) {
-		r.Obs[o.Name] = o.Addrs
+	for i, obs := range suite.CollectAll(ws, rts) {
+		for _, o := range obs {
+			raws[i].Obs[o.Name] = o.Addrs
+		}
 	}
-	return r
-}
-
-// Collect builds the bundle for one window.
-func Collect(u *universe.Universe, suite *sources.Suite, w windows.Window, opt Options) *Bundle {
-	return CollectRaw(u, suite, w).Assemble(u, suite, opt)
+	return raws
 }
 
 // Assemble applies the preprocessing options to the raw collection and

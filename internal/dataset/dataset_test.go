@@ -14,7 +14,7 @@ func build(t *testing.T, opt Options, windowIdx int) (*universe.Universe, *Bundl
 	u := universe.New(universe.TinyConfig(15))
 	suite := sources.NewSuite(u, 33)
 	w := windows.Paper()[windowIdx]
-	return u, Collect(u, suite, w, opt)
+	return u, CollectRaw(u, suite, []windows.Window{w})[0].Assemble(u, suite, opt)
 }
 
 func TestCollectDefault(t *testing.T) {

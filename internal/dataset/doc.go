@@ -5,9 +5,11 @@
 // preprocessing pipeline is wired together, shared by the experiments, the
 // cross-validation harness and the CLI.
 //
-// The main entry point is Collect, which runs the pipeline for one window
-// under the given Options (DefaultOptions gives the paper's settings) and
-// returns a Bundle: the routed trie with its address//24 totals, and the
-// preprocessed observation sets in canonical source order (Sets24 projects
-// them to /24 granularity).
+// The main entry points are CollectRaw, which collects a list of windows
+// in one walk of the universe and returns each window's Raw (routed trie,
+// routed address and /24 totals, unfiltered source sets), and
+// Raw.Assemble, which applies the preprocessing Options (DefaultOptions
+// gives the paper's settings) and returns a Bundle: the preprocessed
+// observation sets in canonical source order (Sets24 projects them to /24
+// granularity). Callers that need several windows collect them together.
 package dataset

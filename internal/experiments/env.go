@@ -4,11 +4,19 @@
 // removal), estimate with log-linear CR, and render paper-style tables and
 // series. Each experiment has a builder (Table2..Table6, Figure2..Figure12)
 // returning both typed data and a renderable report.
+//
+// Env pays for each window's data once. The windows a caller is missing
+// are collected together in one walk of the universe (a series collects
+// all eleven up front; a lone Bundle collects its own window), and each
+// window's joint capture table is built once (Env.Table) and read by the
+// main series, Table 3's and Figure 3's cross-validation and the
+// estimator comparison alike.
 package experiments
 
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"ghosts/internal/core"
@@ -22,9 +30,13 @@ import (
 	"ghosts/internal/windows"
 )
 
-// Env is a lazily-evaluated experiment environment. All collected bundles
-// and window estimates are cached, so experiments sharing inputs (most of
-// them) pay for the pipeline once.
+// Env is a lazily-evaluated experiment environment. All collected bundles,
+// capture tables and window estimates are cached, so experiments sharing
+// inputs (most of them) pay for the pipeline once. Collection is one walk
+// of the universe for every window missing at the time: the series
+// callers (Estimates, StratSeries, StratObservedSeries, Table3) collect
+// all their windows up front, and a lone Bundle(i) collects window i
+// only.
 type Env struct {
 	U     *universe.Universe
 	Suite *sources.Suite
@@ -36,8 +48,10 @@ type Env struct {
 	MaxOrder int
 
 	mu          sync.Mutex
+	collectMu   sync.Mutex // held by one collection walk at a time
 	raws        map[int]*dataset.Raw
 	bundles     map[bundleKey]*dataset.Bundle
+	tables      map[tableKey]*core.Table
 	estimates   map[estKey][]WindowEstimate
 	stratCache  map[stratKey][]map[string]float64
 	stratObs    map[stratKey][]map[string]float64
@@ -53,6 +67,12 @@ type stratKey struct {
 type bundleKey struct {
 	win int
 	opt dataset.Options
+}
+
+type tableKey struct {
+	win int
+	opt dataset.Options
+	s24 bool
 }
 
 type estKey struct {
@@ -80,6 +100,7 @@ func New(cfg universe.Config, seed uint64) *Env {
 		MaxOrder:    2,
 		raws:        make(map[int]*dataset.Raw),
 		bundles:     make(map[bundleKey]*dataset.Bundle),
+		tables:      make(map[tableKey]*core.Table),
 		estimates:   make(map[estKey][]WindowEstimate),
 		stratCache:  make(map[stratKey][]map[string]float64),
 		stratObs:    make(map[stratKey][]map[string]float64),
@@ -97,9 +118,47 @@ func (e *Env) Estimator(limit float64) *core.Estimator {
 	return est
 }
 
-// raw collects (or returns the cached) raw per-source observations for
-// window i. Raw collection depends only on the window, so bundle variants
-// that differ in preprocessing flags share it.
+// collect gathers the raw per-source observations of every window in idxs
+// that is not cached yet, with one walk for all of them. Raw collection
+// depends only on the window, so bundle variants that differ in
+// preprocessing flags share it. One walk runs at a time: a caller that
+// waited finds its windows collected and returns.
+func (e *Env) collect(idxs ...int) {
+	e.collectMu.Lock()
+	defer e.collectMu.Unlock()
+	var miss []int
+	var ws []windows.Window
+	e.mu.Lock()
+	for _, i := range idxs {
+		if _, ok := e.raws[i]; !ok && !slices.Contains(miss, i) {
+			miss = append(miss, i)
+			ws = append(ws, e.Win[i])
+		}
+	}
+	e.mu.Unlock()
+	if len(miss) == 0 {
+		return
+	}
+	raws := dataset.CollectRaw(e.U, e.Suite, ws)
+	e.mu.Lock()
+	for j, i := range miss {
+		e.raws[i] = raws[j]
+	}
+	e.mu.Unlock()
+}
+
+// windowIdxs returns the indices of every window, the series callers'
+// collection set.
+func (e *Env) windowIdxs() []int {
+	idxs := make([]int, len(e.Win))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	return idxs
+}
+
+// raw returns window i's raw per-source observations, collecting window i
+// alone if it is not cached.
 func (e *Env) raw(i int) *dataset.Raw {
 	e.mu.Lock()
 	r, ok := e.raws[i]
@@ -107,13 +166,9 @@ func (e *Env) raw(i int) *dataset.Raw {
 	if ok {
 		return r
 	}
-	r = dataset.CollectRaw(e.U, e.Suite, e.Win[i])
+	e.collect(i)
 	e.mu.Lock()
-	if prev, ok := e.raws[i]; ok {
-		r = prev
-	} else {
-		e.raws[i] = r
-	}
+	r = e.raws[i]
 	e.mu.Unlock()
 	return r
 }
@@ -138,6 +193,36 @@ func (e *Env) Bundle(i int, opt dataset.Options) *dataset.Bundle {
 	}
 	e.mu.Unlock()
 	return b
+}
+
+// Table returns window i's joint capture table under opt (over the /24
+// projections when s24 is set), with the source names as labels. It is
+// built once per environment and shared by every reader — the main
+// series, Table 3's and Figure 3's cross-validation and the estimator
+// comparison — so callers must not modify it (the estimator only reads
+// table counts).
+func (e *Env) Table(i int, opt dataset.Options, s24 bool) *core.Table {
+	key := tableKey{i, opt, s24}
+	e.mu.Lock()
+	tb, ok := e.tables[key]
+	e.mu.Unlock()
+	if ok {
+		return tb
+	}
+	b := e.Bundle(i, opt)
+	sets := b.Sets
+	if s24 {
+		sets = b.Sets24()
+	}
+	tb = core.TableFromSets(sets, b.NameStrings())
+	e.mu.Lock()
+	if prev, ok := e.tables[key]; ok {
+		tb = prev
+	} else {
+		e.tables[key] = tb
+	}
+	e.mu.Unlock()
+	return tb
 }
 
 // LabelTable returns the dense stratum labelling for key k, built once per
@@ -219,20 +304,19 @@ func (e *Env) Estimates(opt dataset.Options, s24 bool, withCI bool) []WindowEsti
 	}
 	sp := telemetry.Active().StartSpan("env.estimates")
 	defer sp.End(int64(len(e.Win)))
-	// Phase 1 — windows are independent for collection and table building:
-	// run them concurrently, writing each result into its window's slot so
+	// Phase 1 — collect every window in one walk, then build the windows'
+	// tables concurrently, writing each result into its window's slot so
 	// the series is identical to a serial run. The observed union is the
 	// table's cell sum, so no union set is materialised.
+	e.collect(e.windowIdxs()...)
 	out := make([]WindowEstimate, len(e.Win))
 	tbs := make([]*core.Table, len(e.Win))
 	limits := make([]float64, len(e.Win))
 	parallel.ForEach(len(e.Win), func(i int) {
 		b := e.Bundle(i, opt)
 		we := WindowEstimate{Window: b.Window}
-		sets := b.Sets
 		limit := float64(b.RoutedAddrs)
 		if s24 {
-			sets = b.Sets24()
 			limit = float64(b.Routed24)
 		}
 		we.Routed = limit
@@ -243,7 +327,7 @@ func (e *Env) Estimates(opt dataset.Options, s24 bool, withCI bool) []WindowEsti
 				we.Ping = float64(ping.Len())
 			}
 		}
-		tb := core.TableFromSets(sets, b.NameStrings())
+		tb := e.Table(i, opt, s24)
 		we.Observed = float64(tb.Observed())
 		out[i], tbs[i], limits[i] = we, tb, limit
 	})
@@ -310,7 +394,9 @@ func (e *Env) StratSeries(k strata.Key, s24 bool) []map[string]float64 {
 	}
 	sp := telemetry.Active().StartSpan("env.strat_series")
 	defer sp.End(int64(len(e.Win)))
-	// Phase 1 — per-window folds and routed sizes, concurrently.
+	// Phase 1 — per-window folds and routed sizes, concurrently, after
+	// one walk collects every window.
+	e.collect(e.windowIdxs()...)
 	hs := make([]*strata.HistSet, len(e.Win))
 	sizes := make([]map[string]strata.Size, len(e.Win))
 	parallel.ForEach(len(e.Win), func(i int) {
@@ -406,6 +492,7 @@ func (e *Env) StratObservedSeries(k strata.Key, s24 bool) []map[string]float64 {
 	}
 	sp := telemetry.Active().StartSpan("env.strat_observed")
 	defer sp.End(int64(len(e.Win)))
+	e.collect(e.windowIdxs()...)
 	out := make([]map[string]float64, len(e.Win))
 	parallel.ForEach(len(e.Win), func(i int) {
 		h := e.StratHists(i, k, s24)

@@ -36,7 +36,7 @@ type EstimatorRow struct {
 func Estimators(e *Env) *EstimatorsData {
 	last := len(e.Win) - 1
 	b := e.Bundle(last, dataset.DefaultOptions())
-	tb := core.TableFromSets(b.Sets, b.NameStrings())
+	tb := e.Table(last, dataset.DefaultOptions(), false)
 	truth := float64(e.U.UsedAt(b.Window.End).Len())
 	d := &EstimatorsData{WindowLabel: b.Window.Label(), Truth: truth}
 	add := func(name string, v float64) {

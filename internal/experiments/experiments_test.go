@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"ghosts/internal/core"
 	"ghosts/internal/dataset"
 	"ghosts/internal/parallel"
 	"ghosts/internal/registry"
@@ -636,5 +638,97 @@ func TestEstimatesDeterministicAcrossWorkers(t *testing.T) {
 	par := run(8)
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("parallel estimates differ from serial:\nserial: %+v\nparallel: %+v", serial, par)
+	}
+}
+
+// TestCachedTablesMatchBundles: after a full batch, every capture table
+// the Env cached must still equal a fresh TableFromSets of its bundle.
+// The tables are shared by every reader (the main series, Table 3,
+// Figure 3, the estimator comparison), so a reader that wrote into its
+// table would change every later reader's input.
+func TestCachedTablesMatchBundles(t *testing.T) {
+	e := env(t)
+	for _, id := range []string{"summary", "table3", "table5", "fig3", "fig8", "estimators"} {
+		ex, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("unknown experiment %s", id)
+		}
+		ex.Run(e)
+	}
+	e.mu.Lock()
+	tables := make(map[tableKey]*core.Table, len(e.tables))
+	for k, tb := range e.tables {
+		tables[k] = tb
+	}
+	e.mu.Unlock()
+	var s24 int
+	for k, tb := range tables {
+		b := e.Bundle(k.win, k.opt)
+		sets := b.Sets
+		if k.s24 {
+			sets = b.Sets24()
+			s24++
+		}
+		fresh := core.TableFromSets(sets, b.NameStrings())
+		if !reflect.DeepEqual(tb, fresh) {
+			t.Fatalf("window %d (s24=%v): cached table %v differs from its bundle's %v", k.win, k.s24, tb.Counts, fresh.Counts)
+		}
+	}
+	if len(tables) < 2*len(e.Win) || s24 < len(e.Win) {
+		t.Fatalf("%d tables cached (%d over /24s), want both series over all %d windows", len(tables), s24, len(e.Win))
+	}
+}
+
+// TestBundleCollectsOneWindow: a lone Bundle(i) on a fresh Env walks for
+// window i only; collecting every window is left to the series callers.
+func TestBundleCollectsOneWindow(t *testing.T) {
+	e := New(universe.TinyConfig(5), 99)
+	last := len(e.Win) - 1
+	e.Bundle(last, dataset.DefaultOptions())
+	if len(e.raws) != 1 || e.raws[last] == nil {
+		t.Fatalf("Bundle(%d) collected windows %v, want only %d", last, keysOf(e.raws), last)
+	}
+}
+
+func keysOf(m map[int]*dataset.Raw) []int {
+	var out []int
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestConcurrentBundles: bundles requested from many goroutines at once
+// on a fresh Env, whose collection walks run one at a time, must all be
+// the one bundle the Env keeps per window, with the sets a window
+// collected in a fresh Env of its own holds.
+func TestConcurrentBundles(t *testing.T) {
+	fresh := func() *Env {
+		e := New(universe.TinyConfig(5), 99)
+		e.Win = e.Win[:4]
+		return e
+	}
+	e := fresh()
+	got := make([]*dataset.Bundle, 3*len(e.Win))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = e.Bundle(g%len(e.Win), dataset.DefaultOptions())
+		}(g)
+	}
+	wg.Wait()
+	ref := fresh()
+	for g, b := range got {
+		i := g % len(e.Win)
+		if b != e.Bundle(i, dataset.DefaultOptions()) {
+			t.Fatalf("window %d: goroutine %d got a bundle the Env did not keep", i, g)
+		}
+		want := ref.Bundle(i, dataset.DefaultOptions())
+		if !reflect.DeepEqual(core.TableFromSets(b.Sets, nil), core.TableFromSets(want.Sets, nil)) {
+			t.Fatalf("window %d: concurrently collected sets differ from a lone collection", i)
+		}
 	}
 }

@@ -100,7 +100,7 @@ func Figure3(e *Env) *Figure3Data {
 	b := e.Bundle(wIdx, dataset.DefaultOptions())
 	est := e.Estimator(math.Inf(1))
 	// A background context never cancels, so Run cannot fail here.
-	results, _ := crossval.Run(context.Background(), b.Names, b.Sets, est, true)
+	results, _ := crossval.Run(context.Background(), b.Names, e.Table(wIdx, dataset.DefaultOptions(), false), est, true)
 	d := &Figure3Data{WindowLabel: b.Window.Label()}
 	for _, r := range results {
 		truth := float64(r.Truth)

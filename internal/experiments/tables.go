@@ -51,12 +51,16 @@ func Table2(e *Env) *Table2Data {
 	for _, n := range sources.All() {
 		rows[n] = &Table2Row{Source: n, IPs: map[int]int{}, S24s: map[int]int{}}
 	}
-	for _, y := range years {
-		w := windows.Window{
+	ws := make([]windows.Window, len(years))
+	for j, y := range years {
+		ws[j] = windows.Window{
 			Start: time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC),
 			End:   time.Date(y+1, 1, 1, 0, 0, 0, 0, time.UTC),
 		}
-		b := dataset.Collect(e.U, e.Suite, w, dataset.DefaultOptions())
+	}
+	for j, raw := range dataset.CollectRaw(e.U, e.Suite, ws) {
+		y := years[j]
+		b := raw.Assemble(e.U, e.Suite, dataset.DefaultOptions())
 		for i, n := range b.Names {
 			rows[n].IPs[y] = b.Sets[i].Len()
 			rows[n].S24s[y] = b.Sets[i].Slash24Len()
@@ -142,26 +146,32 @@ func Table3(e *Env, stride int) *Table3Data {
 		stride = 1
 	}
 	data := &Table3Data{}
-	type wset struct {
-		names []sources.Name
-		addrs []*ipset.Set
-		s24s  []*ipset.Set
-	}
-	var sets []wset
+	var idxs []int
 	for i := 1; i < len(e.Win); i += stride {
-		b := e.Bundle(i, dataset.DefaultOptions())
-		sets = append(sets, wset{b.Names, b.Sets, b.Sets24()})
-		data.Windows++
+		idxs = append(idxs, i)
+	}
+	data.Windows = len(idxs)
+	// Every setting reads the same joint tables: collect the windows in
+	// one walk, then take each window's cached address and /24 tables.
+	e.collect(idxs...)
+	type wtab struct {
+		names      []sources.Name
+		addrs, s24 *core.Table
+	}
+	opt := dataset.DefaultOptions()
+	var tabs []wtab
+	for _, i := range idxs {
+		tabs = append(tabs, wtab{e.Bundle(i, opt).Names, e.Table(i, opt, false), e.Table(i, opt, true)})
 	}
 	for _, s := range Table3Settings() {
 		est := core.NewEstimator(s.IC, s.Divisor, math.Inf(1))
 		est.MaxTerms = e.MaxTerms
 		est.MaxOrder = e.MaxOrder
 		var allAddr, allS24 []crossval.SourceResult
-		for _, ws := range sets {
+		for _, wt := range tabs {
 			// A background context never cancels, so Run cannot fail here.
-			addr, _ := crossval.Run(context.Background(), ws.names, ws.addrs, est, false)
-			s24, _ := crossval.Run(context.Background(), ws.names, ws.s24s, est, false)
+			addr, _ := crossval.Run(context.Background(), wt.names, wt.addrs, est, false)
+			s24, _ := crossval.Run(context.Background(), wt.names, wt.s24, est, false)
 			allAddr = append(allAddr, addr...)
 			allS24 = append(allS24, s24...)
 		}

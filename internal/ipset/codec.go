@@ -102,6 +102,7 @@ func (s *Set) ReadFrom(r io.Reader) (int64, error) {
 	}
 	s.pages = make(map[uint32]*page, pageCount)
 	s.size = 0
+	s.last = nil
 	idx := uint64(0)
 	for i := uint64(0); i < pageCount; i++ {
 		delta, err := binary.ReadUvarint(cr)

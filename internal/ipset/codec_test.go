@@ -34,6 +34,27 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecReadFromResetsAddCache: ReadFrom replaces a set's pages, so an
+// Add after it must land in the decoded pages, not in the page the set's
+// last Add touched before.
+func TestCodecReadFromResetsAddCache(t *testing.T) {
+	a := ipv4.MustParseAddr("192.0.2.1")
+	var buf bytes.Buffer
+	if _, err := fromUints([]uint32{uint32(a) + 1}).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	s.Add(a)
+	if _, err := s.ReadFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s.Add(a + 2)
+	if s.Len() != 2 || s.Contains(a) || !s.Contains(a+1) || !s.Contains(a+2) {
+		t.Fatalf("after ReadFrom and Add: Len %d, contains %v %v %v; want 2, false true true",
+			s.Len(), s.Contains(a), s.Contains(a+1), s.Contains(a+2))
+	}
+}
+
 func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(vs []uint32) bool {
 		s := fromUints(vs)

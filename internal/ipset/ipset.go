@@ -24,6 +24,12 @@ func (p *page) empty() bool { return p[0]|p[1]|p[2]|p[3] == 0 }
 type Set struct {
 	pages map[uint32]*page
 	size  int
+	// last is the page Add touched most recently, at /24 index lastIdx
+	// (nil when there is none). Bulk builders add in ascending order, so
+	// consecutive adds mostly land in the same /24 and skip the map
+	// lookup. Every page delete resets last when it deletes that page.
+	last    *page
+	lastIdx uint32
 }
 
 // New returns an empty address set.
@@ -35,10 +41,14 @@ func (s *Set) Len() int { return s.size }
 // Add inserts a into s and reports whether it was newly added.
 func (s *Set) Add(a ipv4.Addr) bool {
 	idx := a.Slash24Index()
-	p := s.pages[idx]
-	if p == nil {
-		p = new(page)
-		s.pages[idx] = p
+	p := s.last
+	if p == nil || s.lastIdx != idx {
+		p = s.pages[idx]
+		if p == nil {
+			p = new(page)
+			s.pages[idx] = p
+		}
+		s.last, s.lastIdx = p, idx
 	}
 	if p.has(a.LastByte()) {
 		return false
@@ -58,9 +68,17 @@ func (s *Set) Remove(a ipv4.Addr) bool {
 	p.clear(a.LastByte())
 	s.size--
 	if p.empty() {
-		delete(s.pages, idx)
+		s.deletePage(idx, p)
 	}
 	return true
+}
+
+// deletePage removes page p, at /24 index idx, from s.
+func (s *Set) deletePage(idx uint32, p *page) {
+	delete(s.pages, idx)
+	if s.last == p {
+		s.last = nil
+	}
 }
 
 // Contains reports whether a is in s.
@@ -202,9 +220,51 @@ func (s *Set) RemoveSlash24(key ipv4.Addr) int {
 		return 0
 	}
 	n := p.count()
-	delete(s.pages, idx)
+	s.deletePage(idx, p)
 	s.size -= n
 	return n
+}
+
+// Region is a part of the address space that Retain can restrict a set
+// to; *trie.Trie is one.
+type Region interface {
+	// Covers reports whether the region holds all of prefix p, and
+	// whether it holds any of it.
+	Covers(p ipv4.Prefix) (all, some bool)
+	// Contains reports whether the region holds address a.
+	Contains(a ipv4.Addr) bool
+}
+
+// Retain deletes every member of s outside r. It asks r.Covers once per
+// occupied /24 subnet: a subnet r holds whole is kept and one r misses
+// entirely is dropped, so a region built from /24-or-wider blocks costs
+// one query per page. Only the members of a subnet r splits are checked
+// one by one with r.Contains.
+func (s *Set) Retain(r Region) {
+	for idx, p := range s.pages {
+		base := ipv4.Addr(idx << 8)
+		all, some := r.Covers(ipv4.NewPrefix(base, 24))
+		if all {
+			continue
+		}
+		n := p.count()
+		if some {
+			for w := 0; w < 4; w++ {
+				for word := p[w]; word != 0; word &= word - 1 {
+					bit := bits.TrailingZeros64(word)
+					if !r.Contains(base + ipv4.Addr(w*64+bit)) {
+						p[w] &^= 1 << uint(bit)
+					}
+				}
+			}
+		} else {
+			*p = page{}
+		}
+		s.size -= n - p.count()
+		if p.empty() {
+			s.deletePage(idx, p)
+		}
+	}
 }
 
 // Slash24Set projects s onto /24 subnets: the result contains the base

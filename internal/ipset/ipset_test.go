@@ -1,6 +1,7 @@
 package ipset
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -318,4 +319,158 @@ func BenchmarkUnion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Union(x, y)
 	}
+}
+
+// prefixRegion is a Region made of a list of prefixes, for Retain tests.
+type prefixRegion []ipv4.Prefix
+
+func (r prefixRegion) Covers(p ipv4.Prefix) (all, some bool) {
+	for _, q := range r {
+		if q.ContainsPrefix(p) {
+			return true, true
+		}
+		if q.Overlaps(p) {
+			some = true
+		}
+	}
+	return false, some
+}
+
+func (r prefixRegion) Contains(a ipv4.Addr) bool {
+	for _, q := range r {
+		if q.Contains(a) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSetOpsMatchMapOracle interleaves random Add, Remove, RemoveSlash24,
+// AddSet, Clone and Retain calls on a few sets over four /24s and checks
+// every set against a map after each call. Adds cluster in a few pages, so
+// Add's last-page cache is hit, and every page delete — a Remove that
+// empties a page, RemoveSlash24, Retain — is followed by adds to the same
+// /24: a cache that outlives its page loses those adds.
+func TestSetOpsMatchMapOracle(t *testing.T) {
+	const pages = 4
+	base := ipv4.MustParseAddr("198.51.100.0") &^ 0x3ff
+	addr := func(r *rand.Rand) ipv4.Addr {
+		// Mostly low octets, so pages empty out and refill often.
+		return base + ipv4.Addr(r.Intn(pages)<<8|r.Intn(8)<<r.Intn(6))
+	}
+	region := func(r *rand.Rand) prefixRegion {
+		var reg prefixRegion
+		for i := 0; i < 1+r.Intn(3); i++ {
+			reg = append(reg, ipv4.NewPrefix(addr(r), 22+r.Intn(9)))
+		}
+		return reg
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		sets := []*Set{New(), New()}
+		oracles := []map[ipv4.Addr]bool{{}, {}}
+		for op := 0; op < 3000; op++ {
+			i := r.Intn(len(sets))
+			s, m := sets[i], oracles[i]
+			var desc string
+			switch k := r.Intn(20); {
+			case k < 10:
+				a := addr(r)
+				desc = "Add " + a.String()
+				if got, want := s.Add(a), !m[a]; got != want {
+					t.Fatalf("seed %d op %d: %s reported %v, want %v", seed, op, desc, got, want)
+				}
+				m[a] = true
+			case k < 14:
+				a := addr(r)
+				desc = "Remove " + a.String()
+				if got, want := s.Remove(a), m[a]; got != want {
+					t.Fatalf("seed %d op %d: %s reported %v, want %v", seed, op, desc, got, want)
+				}
+				delete(m, a)
+			case k < 16:
+				a := addr(r)
+				desc = "RemoveSlash24 " + a.String()
+				want := 0
+				for b := range m {
+					if b.Slash24Index() == a.Slash24Index() {
+						delete(m, b)
+						want++
+					}
+				}
+				if got := s.RemoveSlash24(a); got != want {
+					t.Fatalf("seed %d op %d: %s removed %d, want %d", seed, op, desc, got, want)
+				}
+			case k < 17:
+				j := r.Intn(len(sets))
+				desc = "AddSet"
+				s.AddSet(sets[j])
+				for b := range oracles[j] {
+					m[b] = true
+				}
+			case k < 18:
+				reg := region(r)
+				desc = "Retain"
+				s.Retain(reg)
+				for b := range m {
+					if !reg.Contains(b) {
+						delete(m, b)
+					}
+				}
+			default:
+				desc = "Clone"
+				c := s.Clone()
+				cm := make(map[ipv4.Addr]bool, len(m))
+				for b := range m {
+					cm[b] = true
+				}
+				if len(sets) < 4 {
+					sets, oracles = append(sets, c), append(oracles, cm)
+				} else {
+					j := r.Intn(len(sets))
+					sets[j], oracles[j] = c, cm
+				}
+			}
+			for j := range sets {
+				if err := matchesOracle(sets[j], oracles[j]); err != "" {
+					t.Fatalf("seed %d op %d (%s on set %d): set %d %s", seed, op, desc, i, j, err)
+				}
+			}
+		}
+	}
+}
+
+// matchesOracle reports how s differs from the map m, or "" if it holds
+// exactly m's addresses.
+func matchesOracle(s *Set, m map[ipv4.Addr]bool) string {
+	if s.Len() != len(m) {
+		return fmt.Sprintf("has Len %d, oracle %d", s.Len(), len(m))
+	}
+	n := 0
+	bad := ""
+	s.Range(func(a ipv4.Addr) bool {
+		n++
+		if !m[a] {
+			bad = fmt.Sprintf("ranges over %v, not in the oracle", a)
+			return false
+		}
+		return true
+	})
+	if bad != "" {
+		return bad
+	}
+	if n != len(m) {
+		return fmt.Sprintf("ranges over %d addresses, Len says %d", n, len(m))
+	}
+	p24 := map[uint32]bool{}
+	for a := range m {
+		if !s.Contains(a) {
+			return fmt.Sprintf("lacks %v", a)
+		}
+		p24[a.Slash24Index()] = true
+	}
+	if s.Slash24Len() != len(p24) {
+		return fmt.Sprintf("has %d /24s, oracle %d", s.Slash24Len(), len(p24))
+	}
+	return ""
 }

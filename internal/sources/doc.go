@@ -8,10 +8,15 @@
 // overcome.
 //
 // The main entry points are NewSuite over a universe, Suite.CollectAll
-// (one Observation per source for a window, in the canonical All order),
-// and Suite.GameChurn, the §4.6 session-level churn measurement behind the
-// `ghosts -exp churn` experiment. Every capture decision compares a keyed
-// hash of (seed, source, window, address) with one function, captureProb,
-// so the expected observation of a window is computable from the same
-// rule the sampler draws with.
+// (for each of a list of windows, one Observation per source in the
+// canonical All order), and Suite.GameChurn, the §4.6 session-level churn
+// measurement behind the `ghosts -exp churn` experiment. CollectAll walks
+// the used space once for all its windows, fanning out over the
+// allocations, and offers each address to every window that it is used
+// in; single-window callers pass one window. Every capture decision
+// compares a keyed hash of (seed, source, window, address) with one
+// function, captureProb, so a window's sets do not depend on which windows
+// are collected with it, and the expected observation of a window is
+// computable from the same rule the sampler draws with. The routed filter
+// (§4.4) asks the routed trie once per occupied /24 (ipset.Set.Retain).
 package sources

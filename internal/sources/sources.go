@@ -1,10 +1,12 @@
 package sources
 
 import (
+	"context"
 	"time"
 
 	"ghosts/internal/ipset"
 	"ghosts/internal/ipv4"
+	"ghosts/internal/parallel"
 	"ghosts/internal/rng"
 	"ghosts/internal/trie"
 	"ghosts/internal/universe"
@@ -136,71 +138,167 @@ func availFraction(sp spec, w windows.Window) float64 {
 	return active / w.End.Sub(w.Start).Hours()
 }
 
-// CollectAll runs every source over the window in one pass over the
-// ground-truth population and returns one Observation per source, in All
-// order. Routed is the aggregated routed table for the window, used to
-// filter the observations (§4.4); pass nil to skip filtering. It rides the
-// universe's trait enumerator: the per-address draws (activation, class,
-// activity, probe responses) are made once and shared by all nine
-// sources, and each source's visibility gate is drawn once per /24. A
-// source logs an address when a keyed hash of (seed, source, window,
-// address) falls below captureProb.
-func (s *Suite) CollectAll(w windows.Window, routed *trie.Trie) []Observation {
+// CollectAll runs every source over each window of ws in one pass over
+// the ground-truth population and returns, per window, one Observation per
+// source in All order. routed holds the aggregated routed table of each
+// window, used to filter its observations (§4.4); a nil routed, or a nil
+// entry, skips filtering for those windows. It rides the universe's trait
+// enumerator up to the latest window end: the per-address draws
+// (activation, class, activity, probe responses) are made once and shared
+// by every window and source, each source's visibility gate is drawn once
+// per /24, and an address is offered to every window it is used by (its
+// activation year is at or before the window's end). A source logs an
+// address in a window when a keyed hash of (seed, source, window,
+// address) falls below captureProb, so the result does not depend on
+// which windows are collected together. The walk fans out over the
+// allocations into per-worker sets, merged by page union, so the sets do
+// not depend on scheduling either.
+func (s *Suite) CollectAll(ws []windows.Window, routed []*trie.Trie) [][]Observation {
+	if len(ws) == 0 {
+		return nil
+	}
 	names := All()
 	srcs := make([]source, len(names))
 	for i, n := range names {
 		sp := specs[n]
-		srcs[i] = source{
-			name:   n,
-			sp:     &sp,
-			frac:   availFraction(sp, w),
-			key:    s.Seed ^ hashName(n) ^ uint64(w.End.Unix()),
-			visKey: s.Seed ^ hashName(n) ^ 0x24a7,
-			out:    ipset.New(),
+		srcs[i] = source{name: n, sp: &sp, visKey: s.Seed ^ hashName(n) ^ 0x24a7}
+	}
+	wins := make([]window, len(ws))
+	var end time.Time
+	for wi, w := range ws {
+		win := &wins[wi]
+		win.w, win.ys, win.ye = w, universe.YearOf(w.Start), universe.YearOf(w.End)
+		win.draws = make([]draw, len(srcs))
+		for si := range srcs {
+			src := &srcs[si]
+			win.draws[si] = draw{
+				src:  src,
+				frac: availFraction(*src.sp, w),
+				key:  s.Seed ^ hashName(src.name) ^ uint64(w.End.Unix()),
+			}
+		}
+		if w.End.After(end) {
+			end = w.End
 		}
 	}
-	ys, ye := universe.YearOf(w.Start), universe.YearOf(w.End)
-	cur24 := ^uint32(0)
-	s.U.RangeUsedTraits(w.End, func(a ipv4.Addr, tr *universe.AddrTraits) bool {
-		if k := a.Slash24Index(); k != cur24 {
-			cur24 = k
-			for i := range srcs {
-				srcs[i].sees24 = srcs[i].frac > 0 && srcs[i].visible24(k)
-			}
+	allocs := s.U.Reg.Allocs
+	workers := make([]*collector, len(allocs))
+	// A background context never cancels, so the walk cannot fail.
+	_ = parallel.ForEachWorkerCtx(context.Background(), len(allocs), func(worker, i int) {
+		c := workers[worker]
+		if c == nil {
+			c = newCollector(srcs, wins)
+			workers[worker] = c
 		}
-		af := universe.ActiveFractionYears(tr.Activation, ys, ye)
-		for i := range srcs {
-			src := &srcs[i]
-			if p := s.captureProb(src, tr, af); p > 0 && rng.Hash01(src.key, uint64(a)) < p {
-				src.out.Add(a)
-			}
-		}
-		return true
+		s.U.RangeUsedTraits(allocs[i].Prefix, end, c.offer(s))
 	})
-	obs := make([]Observation, len(srcs))
-	for i := range srcs {
-		src := &srcs[i]
-		if src.sp.netflow && src.frac > 0 {
-			s.injectSpoofed(*src.sp, w, src.frac, rng.New(src.key), src.out)
-		}
-		s.filterRouted(src.out, routed)
-		obs[i] = Observation{Name: src.name, Addrs: src.out}
+	obs := make([][]Observation, len(wins))
+	for wi := range obs {
+		obs[wi] = make([]Observation, len(srcs))
 	}
+	parallel.ForEach(len(wins)*len(srcs), func(j int) {
+		wi, si := j/len(srcs), j%len(srcs)
+		d := &wins[wi].draws[si]
+		var out *ipset.Set
+		for _, c := range workers {
+			switch {
+			case c == nil:
+			case out == nil:
+				out = c.wins[wi].draws[si].out
+			default:
+				out.AddSet(c.wins[wi].draws[si].out)
+			}
+		}
+		if out == nil {
+			out = ipset.New()
+		}
+		if d.src.sp.netflow && d.frac > 0 {
+			s.injectSpoofed(*d.src.sp, wins[wi].w, d.frac, rng.New(d.key), out)
+		}
+		if routed != nil && routed[wi] != nil {
+			out.Retain(routed[wi])
+		}
+		obs[wi][si] = Observation{Name: d.src.name, Addrs: out}
+	})
 	return obs
 }
 
-// source is one source's sampling state over a window.
+// source is one source's identity and its per-/24 visibility stream,
+// shared by every window.
 type source struct {
 	name   Name
 	sp     *spec
-	frac   float64 // availFraction of the window
-	key    uint64  // keyed-hash stream of the per-address draws
-	visKey uint64  // keyed-hash stream of the per-/24 visibility gate
+	visKey uint64 // keyed-hash stream of the per-/24 visibility gate
+}
+
+// window is one collected window with its per-source sampling state.
+type window struct {
+	w      windows.Window
+	ys, ye float64 // fractional years of w.Start and w.End
+	draws  []draw  // one per source, in All order
+}
+
+// draw is one source's sampling state over one window.
+type draw struct {
+	src  *source
+	frac float64 // availFraction of the window
+	key  uint64  // keyed-hash stream of the per-address draws
 	// sees24 reports whether the source can log anything in the /24
 	// being walked: it collects during the window (frac > 0) and the /24
 	// passes visible24.
 	sees24 bool
 	out    *ipset.Set
+}
+
+// collector is one walk worker's state: its own copy of every window's
+// draws, with sets of its own, and the /24 it is in.
+type collector struct {
+	srcs  []source
+	wins  []window
+	cur24 uint32
+}
+
+func newCollector(srcs []source, wins []window) *collector {
+	c := &collector{srcs: srcs, wins: make([]window, len(wins)), cur24: ^uint32(0)}
+	for wi, win := range wins {
+		win.draws = append([]draw(nil), win.draws...)
+		for di := range win.draws {
+			win.draws[di].out = ipset.New()
+		}
+		c.wins[wi] = win
+	}
+	return c
+}
+
+// offer returns the walk callback that draws every window's captures of
+// one used address into c's sets.
+func (c *collector) offer(s *Suite) func(a ipv4.Addr, tr *universe.AddrTraits) bool {
+	return func(a ipv4.Addr, tr *universe.AddrTraits) bool {
+		if k := a.Slash24Index(); k != c.cur24 {
+			c.cur24 = k
+			for si := range c.srcs {
+				vis := c.srcs[si].visible24(k)
+				for wi := range c.wins {
+					d := &c.wins[wi].draws[si]
+					d.sees24 = d.frac > 0 && vis
+				}
+			}
+		}
+		for wi := range c.wins {
+			win := &c.wins[wi]
+			if tr.Activation > win.ye {
+				continue // not yet used at the window's end
+			}
+			af := universe.ActiveFractionYears(tr.Activation, win.ys, win.ye)
+			for di := range win.draws {
+				d := &win.draws[di]
+				if p := s.captureProb(d, tr, af); p > 0 && rng.Hash01(d.key, uint64(a)) < p {
+					d.out.Add(a)
+				}
+			}
+		}
+		return true
+	}
 }
 
 // visible24 is the per-(source, /24) visibility gate: routing locality and
@@ -215,24 +313,25 @@ func (src *source) visible24(key24 uint32) bool {
 	return rng.Hash01(src.visKey, uint64(key24)) < vis
 }
 
-// captureProb is the probability that src logs an address with traits tr
-// that was active for fraction af of the window: zero behind the /24 gate
-// (sees24), visibleProb otherwise. It stays small enough to inline, so the
-// gated-off sources of a /24 cost no call.
-func (s *Suite) captureProb(src *source, tr *universe.AddrTraits, af float64) float64 {
-	if !src.sees24 {
+// captureProb is the probability that d's source logs an address with
+// traits tr that was active for fraction af of d's window: zero behind the
+// /24 gate (sees24), visibleProb otherwise. It stays small enough to
+// inline, so the gated-off sources of a /24 cost no call.
+func (s *Suite) captureProb(d *draw, tr *universe.AddrTraits, af float64) float64 {
+	if !d.sees24 {
 		return 0
 	}
-	return s.visibleProb(src, tr, af)
+	return s.visibleProb(d, tr, af)
 }
 
 // visibleProb is captureProb in a /24 the source sees. A passive source
 // logs by ObservableBy; a census logs responders to its probe.
-func (s *Suite) visibleProb(src *source, tr *universe.AddrTraits, af float64) float64 {
+func (s *Suite) visibleProb(d *draw, tr *universe.AddrTraits, af float64) float64 {
+	sp := d.src.sp
 	var responds bool
-	switch src.sp.probe {
+	switch sp.probe {
 	case passive:
-		return tr.ObservableBy(src.sp.rate*src.frac, src.sp.clientBias, af)
+		return tr.ObservableBy(sp.rate*d.frac, sp.clientBias, af)
 	case icmpEcho:
 		responds = tr.RespICMP || tr.RespUnreach
 	case tcp80SYN:
@@ -244,25 +343,7 @@ func (s *Suite) visibleProb(src *source, tr *universe.AddrTraits, af float64) fl
 	// The census only sees hosts active when their /24 was swept;
 	// censuses run twice a year, so a host activating late in the window
 	// may be missed. Loss adds a little noise on top.
-	return src.frac * (0.25 + 0.75*af) * (1 - s.Loss)
-}
-
-// filterRouted drops observations outside the aggregated routed space
-// (§4.4 preprocessing); nil disables filtering.
-func (s *Suite) filterRouted(out *ipset.Set, routed *trie.Trie) {
-	if routed == nil {
-		return
-	}
-	var drop []ipv4.Addr
-	out.Range(func(a ipv4.Addr) bool {
-		if !routed.Contains(a) {
-			drop = append(drop, a)
-		}
-		return true
-	})
-	for _, a := range drop {
-		out.Remove(a)
-	}
+	return d.frac * (0.25 + 0.75*af) * (1 - s.Loss)
 }
 
 // injectSpoofed adds uniformly distributed spoofed source addresses to a

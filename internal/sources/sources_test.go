@@ -1,11 +1,14 @@
 package sources
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"ghosts/internal/bgp"
 	"ghosts/internal/ipset"
 	"ghosts/internal/ipv4"
+	"ghosts/internal/parallel"
 	"ghosts/internal/rng"
 	"ghosts/internal/trie"
 	"ghosts/internal/universe"
@@ -37,8 +40,27 @@ func (s *Suite) Collect(n Name, w windows.Window, routed *trie.Trie) Observation
 	if sp.netflow {
 		s.injectSpoofed(sp, w, frac, rng.New(key), out)
 	}
-	s.filterRouted(out, routed)
+	filterRouted(out, routed)
 	return Observation{Name: n, Addrs: out}
+}
+
+// filterRouted is the per-address reference for the routed filter: it
+// drops every observation outside the aggregated routed space (§4.4)
+// with one trie lookup per address; nil disables filtering.
+func filterRouted(out *ipset.Set, routed *trie.Trie) {
+	if routed == nil {
+		return
+	}
+	var drop []ipv4.Addr
+	out.Range(func(a ipv4.Addr) bool {
+		if !routed.Contains(a) {
+			drop = append(drop, a)
+		}
+		return true
+	})
+	for _, a := range drop {
+		out.Remove(a)
+	}
 }
 
 // seenProb is the probability that source n logs address a during a window
@@ -92,7 +114,7 @@ func fix(t *testing.T) *fixture {
 	rt := bgp.Aggregate(u, w, 5)
 	suite := NewSuite(u, 11)
 	obs := map[Name]*ipset.Set{}
-	for _, o := range suite.CollectAll(w, rt) {
+	for _, o := range suite.CollectAll([]windows.Window{w}, []*trie.Trie{rt})[0] {
 		obs[o.Name] = o.Addrs
 	}
 	cached = &fixture{u: u, suite: suite, w: w, rt: rt, obs: obs, used: u.UsedAt(w.End)}
@@ -282,16 +304,127 @@ func TestCALTSpikesMar2014(t *testing.T) {
 	}
 }
 
+// TestCollectAllMatchesCollect: one CollectAll call over several windows
+// must give, window by window and source by source, exactly the sets of
+// the per-source Collect oracle, whatever the window list (all paper
+// windows, calendar years, one window, the paper windows reversed) and
+// whatever the walk's worker count.
 func TestCollectAllMatchesCollect(t *testing.T) {
-	f := fix(t)
-	// The single-pass CollectAll must be bit-identical to per-source
-	// Collect calls (the fixture used CollectAll).
-	for _, n := range []Name{WIKI, IPING, SWIN} {
-		single := f.suite.Collect(n, f.w, f.rt).Addrs
-		batch := f.obs[n]
-		if single.Len() != batch.Len() || ipset.IntersectCount(single, batch) != batch.Len() {
-			t.Fatalf("%s: Collect (%d) differs from CollectAll (%d)", n, single.Len(), batch.Len())
+	u := universe.New(universe.Config{Seed: 3, Slash8s: 1, EmptyBlocks: 2, Fill: 0.05})
+	suite := NewSuite(u, 11)
+	paper := windows.Paper()
+	var years, reversed []windows.Window
+	for y := 2011; y <= 2013; y++ {
+		years = append(years, windows.Window{
+			Start: time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC),
+			End:   time.Date(y+1, 1, 1, 0, 0, 0, 0, time.UTC),
+		})
+	}
+	for i := len(paper) - 1; i >= 0; i-- {
+		reversed = append(reversed, paper[i])
+	}
+	// The oracle is slow, so each (window, source) set is built once.
+	oracle := map[windows.Window][]*ipset.Set{}
+	want := func(w windows.Window, rt *trie.Trie) []*ipset.Set {
+		if sets, ok := oracle[w]; ok {
+			return sets
 		}
+		var sets []*ipset.Set
+		for _, n := range All() {
+			sets = append(sets, suite.Collect(n, w, rt).Addrs)
+		}
+		oracle[w] = sets
+		return sets
+	}
+	defer parallel.SetWorkers(0)
+	for _, tc := range []struct {
+		name string
+		ws   []windows.Window
+	}{
+		{"paper", paper},
+		{"years", years},
+		{"one", paper[len(paper)-1:]},
+		{"reversed", reversed},
+	} {
+		rts := make([]*trie.Trie, len(tc.ws))
+		for i, w := range tc.ws {
+			rts[i] = bgp.Aggregate(u, w, 5)
+		}
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				parallel.SetWorkers(workers)
+				got := suite.CollectAll(tc.ws, rts)
+				if len(got) != len(tc.ws) {
+					t.Fatalf("%d observation lists for %d windows", len(got), len(tc.ws))
+				}
+				for i, w := range tc.ws {
+					for si, n := range All() {
+						o := got[i][si]
+						if o.Name != n {
+							t.Fatalf("%s: source %d is %s, want %s", w.Label(), si, o.Name, n)
+						}
+						if ref := want(w, rts[i])[si]; !sameSet(o.Addrs, ref) {
+							t.Fatalf("%s %s: CollectAll (%d) differs from Collect (%d)", w.Label(), n, o.Addrs.Len(), ref.Len())
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// sameSet reports whether a and b hold the same addresses.
+func sameSet(a, b *ipset.Set) bool {
+	return a.Len() == b.Len() && ipset.IntersectCount(a, b) == a.Len()
+}
+
+// TestRetainRoutedMatchesFilterRouted: the per-/24 routed filter
+// (ipset.Set.Retain over the routed trie) must keep exactly what the
+// per-address filterRouted oracle keeps — on the real routed table, on a
+// nil trie (no filtering) and on a trie holding prefixes longer than /24,
+// whose /24s it must split address by address.
+func TestRetainRoutedMatchesFilterRouted(t *testing.T) {
+	f := fix(t)
+	split := &trie.Trie{}
+	var bases []ipv4.Addr
+	f.obs[WEB].RangeSlash24(func(base ipv4.Addr, _ int) bool {
+		bases = append(bases, base)
+		return len(bases) < 40
+	})
+	for i, base := range bases {
+		switch i % 4 {
+		case 0: // a /25 and a /27 inside the /24
+			split.Insert(ipv4.NewPrefix(base, 25))
+			split.Insert(ipv4.NewPrefix(base+0xa0, 27))
+		case 1: // the whole /24
+			split.Insert(ipv4.NewPrefix(base, 24))
+		case 2: // a covering /22
+			split.Insert(ipv4.NewPrefix(base, 22))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		rt   *trie.Trie
+	}{
+		{"routed", f.rt},
+		{"nil", nil},
+		{"longer-than-24", split},
+		{"empty", &trie.Trie{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range All() {
+				want := f.obs[n].Clone()
+				filterRouted(want, tc.rt)
+				got := f.obs[n].Clone()
+				if tc.rt != nil {
+					got.Retain(tc.rt)
+				}
+				if !sameSet(got, want) || got.Slash24Len() != want.Slash24Len() {
+					t.Fatalf("%s: Retain kept %d addresses in %d /24s, filterRouted %d in %d",
+						n, got.Len(), got.Slash24Len(), want.Len(), want.Slash24Len())
+				}
+			}
+		})
 	}
 }
 
@@ -353,13 +486,13 @@ func TestCollectAllMatchesCollectAllSources(t *testing.T) {
 	f := fix(t)
 	for _, rt := range []*trie.Trie{f.rt, nil} {
 		batch := map[Name]*ipset.Set{}
-		for _, o := range f.suite.CollectAll(f.w, rt) {
+		for _, o := range f.suite.CollectAll([]windows.Window{f.w}, []*trie.Trie{rt})[0] {
 			batch[o.Name] = o.Addrs
 		}
 		for _, n := range All() {
 			single := f.suite.Collect(n, f.w, rt).Addrs
 			b := batch[n]
-			if single.Len() != b.Len() || ipset.IntersectCount(single, b) != b.Len() {
+			if !sameSet(single, b) {
 				t.Fatalf("%s (routed=%v): Collect (%d) differs from CollectAll (%d)",
 					n, rt != nil, single.Len(), b.Len())
 			}
@@ -367,20 +500,31 @@ func TestCollectAllMatchesCollectAllSources(t *testing.T) {
 	}
 }
 
-var benchObs []Observation
+var benchObs [][]Observation
 
-// BenchmarkCollectAll times one window's collection as the batch path
-// runs it: the tiny universe, the last paper window and the routed table
-// dataset.CollectRaw aggregates.
+// BenchmarkCollectAll times collection as the batch path runs it, on the
+// tiny universe with the routed tables dataset.CollectRaw aggregates: the
+// 11 paper windows in one call, and the last window alone.
 func BenchmarkCollectAll(b *testing.B) {
 	u := universe.New(universe.TinyConfig(1))
-	ws := windows.Paper()
-	w := ws[len(ws)-1]
 	suite := NewSuite(u, 1)
-	rt := bgp.Aggregate(u, w, suite.Seed^0xb6b6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchObs = suite.CollectAll(w, rt)
+	paper := windows.Paper()
+	for _, bc := range []struct {
+		name string
+		ws   []windows.Window
+	}{
+		{"paper", paper},
+		{"last", paper[len(paper)-1:]},
+	} {
+		rts := make([]*trie.Trie, len(bc.ws))
+		for i, w := range bc.ws {
+			rts[i] = bgp.Aggregate(u, w, suite.Seed^0xb6b6)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchObs = suite.CollectAll(bc.ws, rts)
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"ghosts/internal/ipset"
 	"ghosts/internal/ipv4"
 	"ghosts/internal/sources"
+	"ghosts/internal/trie"
 	"ghosts/internal/universe"
 	"ghosts/internal/windows"
 )
@@ -74,7 +75,7 @@ func scene(t *testing.T) *scenario {
 	w := windows.Paper()[8] // ends Dec 2013
 	rt := bgp.Aggregate(u, w, 3)
 	obs := map[sources.Name]*ipset.Set{}
-	for _, o := range sources.NewSuite(u, 21).CollectAll(w, rt) {
+	for _, o := range sources.NewSuite(u, 21).CollectAll([]windows.Window{w}, []*trie.Trie{rt})[0] {
 		obs[o.Name] = o.Addrs
 	}
 	dirty := obs[sources.SWIN]

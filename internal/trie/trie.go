@@ -71,6 +71,25 @@ func (t *Trie) Contains(a ipv4.Addr) bool {
 	return false
 }
 
+// Covers reports whether the trie covers all of prefix p, and whether it
+// covers any of it. It walks one path of at most p.Bits nodes, so the
+// routed filter pays one query per /24 instead of one per address.
+func (t *Trie) Covers(p ipv4.Prefix) (all, some bool) {
+	n := t.root
+	for depth := 0; n != nil; depth++ {
+		if n.covered {
+			return true, true
+		}
+		if depth == p.Bits {
+			// Every node below an uncovered one leads to a covered
+			// prefix: nodes are only made on the way to an insert.
+			return false, true
+		}
+		n = n.children[bit(p.Base, depth)]
+	}
+	return false, false
+}
+
 // Prefixes returns the aggregated prefixes in ascending base order.
 func (t *Trie) Prefixes() []ipv4.Prefix {
 	var out []ipv4.Prefix

@@ -29,7 +29,9 @@
 // keyed hash (rng.Hash01) declared in one function; the point accessors
 // and the bulk enumerators (RangeUsed, UsedInPrefix, RangeUsedTraits)
 // call those functions, and the enumerators share one allocation → /24 →
-// address walk, so the two paths agree bit for bit.
+// address walk, so the two paths agree bit for bit. UsedInPrefix and
+// RangeUsedTraits take the prefix to walk, so a caller can walk disjoint
+// prefixes (allocations, say) concurrently.
 //
 // The main entry points are New over a Config (TinyConfig, SmallConfig and
 // MediumConfig are the standard scales), the membership and metadata

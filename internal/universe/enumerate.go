@@ -2,6 +2,7 @@ package universe
 
 import (
 	"math"
+	"sort"
 	"time"
 
 	"ghosts/internal/ipset"
@@ -35,10 +36,14 @@ type block struct {
 func (u *Universe) walk(pfx ipv4.Prefix, t time.Time, fn func(b *block) bool) {
 	yt := YearOf(t)
 	var b block
-	for i := range u.Reg.Allocs {
-		al := &u.Reg.Allocs[i]
+	// The allocations are sorted and disjoint, so the ones overlapping pfx
+	// are one run, starting at the first allocation that ends inside it.
+	allocs := u.Reg.Allocs
+	first := sort.Search(len(allocs), func(i int) bool { return allocs[i].Prefix.Last() >= pfx.First() })
+	for i := first; i < len(allocs) && allocs[i].Prefix.Overlaps(pfx); i++ {
+		al := &allocs[i]
 		p := &u.profiles[i]
-		if !al.Prefix.Overlaps(pfx) || !p.routed || p.routedAt > yt || p.util24 <= 0 {
+		if !p.routed || p.routedAt > yt || p.util24 <= 0 {
 			continue
 		}
 		lo, hi := al.Prefix.First(), al.Prefix.Last()

@@ -31,15 +31,17 @@ func (tr *AddrTraits) ObservableBy(rate, clientBias, frac float64) float64 {
 	return observableWith(tr.Activity, tr.Class, tr.Dynamic, rate, clientBias, frac)
 }
 
-// RangeUsedTraits visits every used address at time t in ascending order —
-// the same addresses, in the same order, as RangeUsed — passing its full
-// trait set. One AddrTraits value is reused across calls; callers must not
-// retain or modify it. This is the collection fast path: a suite of
-// sources observing the same window shares one trait computation per
-// address, with the /24 draws made once per /24.
-func (u *Universe) RangeUsedTraits(t time.Time, fn func(a ipv4.Addr, tr *AddrTraits) bool) {
+// RangeUsedTraits visits every address inside pfx used at time t in
+// ascending order — the same addresses, in the same order, as RangeUsed
+// restricted to pfx — passing its full trait set. The zero Prefix walks
+// the whole space. One AddrTraits value is reused across calls; callers
+// must not retain or modify it. This is the collection fast path: a suite
+// of sources observing the same windows shares one trait computation per
+// address, with the /24 draws made once per /24, and disjoint prefixes
+// can be walked concurrently.
+func (u *Universe) RangeUsedTraits(pfx ipv4.Prefix, t time.Time, fn func(a ipv4.Addr, tr *AddrTraits) bool) {
 	var tr AddrTraits
-	u.walk(ipv4.Prefix{}, t, func(b *block) bool {
+	u.walk(pfx, t, func(b *block) bool {
 		tr.Dynamic = b.dyn
 		tr.Shielded = u.shielded24(b.ind, b.key)
 		tr.FirewallDrop = u.firewallDrop24(b.p, b.key)

@@ -372,7 +372,7 @@ func TestRangeUsedTraitsMatchesAccessors(t *testing.T) {
 		tr AddrTraits
 	}
 	var got []rec
-	u.RangeUsedTraits(at, func(a ipv4.Addr, tr *AddrTraits) bool {
+	u.RangeUsedTraits(ipv4.Prefix{}, at, func(a ipv4.Addr, tr *AddrTraits) bool {
 		got = append(got, rec{a, *tr})
 		return true
 	})

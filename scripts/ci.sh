@@ -151,6 +151,26 @@ cleanup_replay
 trap - EXIT
 echo "streaming replay smoke OK"
 
+echo "== batch golden =="
+# The batch experiments at tiny scale must print the committed golden
+# byte for byte, serially and at the default worker width. Collection
+# walks the universe on every worker into per-worker sets, and the
+# tables, estimates and cross-validation fan out, so this pins that no
+# output depends on scheduling, and that no change moves a batch number.
+BGDIR="$(mktemp -d)"
+cleanup_batch() { rm -rf "$BGDIR"; }
+trap cleanup_batch EXIT
+go build -o "$BGDIR/ghosts" ./cmd/ghosts
+for par in 1 0; do
+    "$BGDIR/ghosts" -exp summary,table2,table3,table5,fig3,fig8,estimators \
+        -scale tiny -json -seed 1 -parallel "$par" > "$BGDIR/batch.json" 2> /dev/null
+    cmp -s "$BGDIR/batch.json" internal/experiments/testdata/batch.golden \
+        || { echo "batch output at -parallel $par drifted from the committed golden" >&2; exit 1; }
+done
+cleanup_batch
+trap - EXIT
+echo "batch golden OK"
+
 echo "== ghostsd smoke =="
 # Build the daemon, boot it on a random port, hit the health probe and one
 # estimate, then check it shuts down cleanly on SIGTERM (exit 0).
